@@ -27,6 +27,7 @@
 //! `tests/real_transport.rs` proves its plans bit-identical to the sim's.
 
 pub mod analyser;
+pub mod broker;
 pub mod buyer;
 pub mod calib;
 pub mod compensate;
