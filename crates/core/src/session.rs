@@ -673,7 +673,7 @@ impl SessionManager {
                 // already traded for these rows and only buyer-local
                 // compensation remains — no rounds, no messages, and the
                 // trading slot stays free for the next arrival.
-                self.completed.push(SessionReport {
+                self.complete(SessionReport {
                     session: s,
                     arrived: self.arrive_times[s.0 as usize],
                     started: ctx.now(),
@@ -683,7 +683,7 @@ impl SessionManager {
                     reawards: 0,
                     rescoped_trades: 0,
                     repaired: false,
-                    shed_retried: self.shed_retried.contains(&s),
+                    shed_retried: false,
                 });
                 continue;
             }
@@ -913,7 +913,7 @@ impl SessionManager {
             return;
         }
         self.shed_sessions += 1;
-        self.completed.push(SessionReport {
+        self.complete(SessionReport {
             session: s,
             arrived: sess.arrived,
             started: sess.started,
@@ -923,7 +923,7 @@ impl SessionManager {
             reawards: 0,
             rescoped_trades: 0,
             repaired: false,
-            shed_retried: true,
+            shed_retried: false,
         });
         self.admit(ctx);
     }
@@ -1246,7 +1246,7 @@ impl SessionManager {
                 self.cache_finished_plan(sess.engine.round + 1, plan);
             }
         }
-        self.completed.push(SessionReport {
+        self.complete(SessionReport {
             session: s,
             arrived: sess.arrived,
             started: sess.started,
@@ -1256,10 +1256,19 @@ impl SessionManager {
             reawards: 0,
             rescoped_trades: 0,
             repaired: false,
-            shed_retried: self.shed_retried.contains(&s),
+            shed_retried: false,
         });
         self.settle_lifecycle(s);
         self.admit(ctx);
+    }
+
+    /// Record a finished session and drop the shed-retry bookkeeping kept
+    /// for it: `shed_retried` is read into the report here, after which
+    /// nothing refers to the session again.
+    fn complete(&mut self, mut report: SessionReport) {
+        report.shed_retried = self.shed_retried.remove(&report.session);
+        self.flat_retry.remove(&report.session);
+        self.completed.push(report);
     }
 
     /// With failover on, tell the broker tier to stop its standby lease
@@ -1849,6 +1858,14 @@ fn finish_serve_outcome(
     assert!(
         m.lifecycles.is_empty(),
         "run drained with contract lifecycles unsettled"
+    );
+    assert!(
+        m.sessions.is_empty()
+            && m.waiting.is_empty()
+            && m.stage.is_empty()
+            && m.flat_retry.is_empty()
+            && m.shed_retried.is_empty(),
+        "run drained with per-session state still held"
     );
     if let Some(local) = &m.local_seller {
         seller_effort += local.total_effort;
