@@ -555,7 +555,7 @@ pub fn e13() -> Table {
 /// observe the topology (autonomy), so offers are identical; the measured
 /// trading time shows how much of QT's latency is pure transport.
 pub fn e14() -> Table {
-    use qt_core::run_qt_sim_with_topology;
+    use qt_core::run_qt_sim_with_faults;
     use qt_net::Topology;
     let mut t = Table::new(
         "E14",
@@ -579,8 +579,15 @@ pub fn e14() -> Table {
     ];
     for (label, topo) in topologies {
         let sellers = seller_engines(&fed, &cfg);
-        let (out, _) =
-            run_qt_sim_with_topology(BUYER, fed.catalog.dict.clone(), &q, sellers, &cfg, topo);
+        let (out, _) = run_qt_sim_with_faults(
+            BUYER,
+            fed.catalog.dict.clone(),
+            &q,
+            sellers,
+            &cfg,
+            topo,
+            None,
+        );
         let plan = out.plan.expect("plan");
         t.push(vec![
             label.into(),

@@ -283,8 +283,8 @@ impl BuyerEngine {
 }
 
 /// The seller nodes winning at least one purchase of `plan` — the single
-/// source of truth for award selection, shared by the direct driver, the
-/// simulator driver, and the serving layer.
+/// source of truth for award selection, shared by the direct driver and the
+/// networked buyer.
 pub fn winner_set(plan: &DistributedPlan) -> BTreeSet<NodeId> {
     plan.purchases.iter().map(|p| p.offer.seller).collect()
 }

@@ -37,11 +37,11 @@ pub struct QtConfig {
     /// Cap on new queries the buyer predicates analyser may add to the
     /// working set per iteration (keeps RFBs bounded on fragmented data).
     pub max_new_queries_per_round: usize,
-    /// Simulator-driver RFB timeout: the buyer closes a round after this
-    /// many virtual seconds even if some sellers never answered (autonomous
-    /// nodes are free to ignore RFBs).
+    /// RFB response deadline of a networked run: the buyer closes a round
+    /// after this many seconds even if some sellers never answered
+    /// (autonomous nodes are free to ignore RFBs).
     pub seller_timeout: f64,
-    /// Simulator-driver RFB retransmissions: when the response deadline
+    /// RFB retransmissions of a networked run: when the response deadline
     /// fires with sellers still unheard-from, the buyer re-sends the RFB to
     /// just those sellers up to this many times before degrading the round
     /// to the offers that arrived. Sellers dedup retransmissions by request
@@ -111,15 +111,6 @@ pub struct QtConfig {
     /// behaviour). When bounded, admission/eviction is weighted by the
     /// offer-construction effort each entry saves per hit.
     pub offer_cache_entries: usize,
-    /// Scope RFB fan-out by seller discovery instead of broadcasting: the
-    /// buyer routes each round only to sellers whose advertised relation
-    /// digest (see [`crate::discovery`]) intersects the round's items.
-    /// Lossless whenever digests are exact and subcontracting is off (a
-    /// seller holding nothing an item touches produces no offer for it);
-    /// with `enable_subcontracting` the scoping silently falls back to
-    /// broadcast, since any seller may then bid via hints. Off by default —
-    /// flat-broadcast runs stay bit-identical.
-    pub enable_discovery: bool,
 }
 
 impl Default for QtConfig {
@@ -155,7 +146,6 @@ impl Default for QtConfig {
             parallel: true,
             enable_semantic_cache: false,
             offer_cache_entries: 0,
-            enable_discovery: false,
         }
     }
 }
@@ -192,7 +182,7 @@ mod tests {
 
     #[test]
     fn discovery_defaults_off() {
-        let c = QtConfig::default();
-        assert!(!c.enable_discovery, "scoped routing must be opt-in");
+        let c = crate::session::ServeConfig::default();
+        assert!(c.hierarchy.is_none(), "scoped routing must be opt-in");
     }
 }

@@ -1,18 +1,21 @@
-//! Drivers: run the trading loop directly (synchronous, analytic time) or on
-//! the discrete-event simulator (virtual time). Both produce the same plans
-//! and message counts; the simulator additionally yields realistic timing
-//! under node/link contention.
+//! Single-query drivers. [`run_qt_direct`] runs the trading loop in-process
+//! (synchronous, analytic time) and is the oracle the networked runs are
+//! checked against. [`run_qt_sim`], [`run_qt_sim_with_faults`] and
+//! [`run_qt_real`] put the same query on a network: each is a serving run
+//! (see [`session`](crate::session)) with one arrival at t = 0 and
+//! concurrency 1, folded into a [`QtOutcome`]. All of them produce the same
+//! plans and message counts; the simulator additionally yields realistic
+//! timing under node/link contention.
 
 use crate::buyer::{remote_awards, winner_set, BuyerEngine, IterationStats, RoundOutcome};
 use crate::config::QtConfig;
-use crate::contract::{
-    is_repair_round, ContractAction, ContractController, ContractReport, LEGACY_CONTRACT,
-};
+use crate::contract::ContractReport;
 use crate::dist_plan::DistributedPlan;
-use crate::offer::{Offer, RfbItem};
+use crate::offer::Offer;
 use crate::seller::SellerEngine;
+use crate::session::{run_qt_serve_real, serve_on_sim, ServeConfig, ServeOutcome};
 use qt_catalog::{NodeId, SchemaDict};
-use qt_net::{Ctx, FaultPlan, Handler, Simulator, Topology};
+use qt_net::{FaultPlan, Topology};
 use qt_query::Query;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,7 +42,7 @@ pub struct QtOutcome {
     /// RFB items sellers had to evaluate fresh during this run.
     pub offer_cache_misses: u64,
     /// RFB retransmissions sent after a response deadline expired
-    /// (simulator driver; always 0 for the direct driver's perfect network).
+    /// (networked runs; always 0 for the direct driver's perfect network).
     pub retries: u64,
     /// Response deadlines that fired while a round was still open.
     pub timeouts: u64,
@@ -226,550 +229,6 @@ pub fn run_qt_direct(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Simulator driver
-// ---------------------------------------------------------------------------
-
-/// Protocol messages of the QT trading loop.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QtMsg {
-    /// Kick off the optimization at the buyer.
-    Start,
-    /// Request-For-Bids (B2). Payloads are shared — the buyer broadcasts one
-    /// `Arc` to every seller instead of deep-copying the working set per
-    /// recipient.
-    Rfb {
-        /// Request id: identical across retransmissions of the same RFB, so
-        /// sellers can answer duplicates idempotently.
-        req: u64,
-        /// Round number.
-        round: u32,
-        /// The queries out for bid.
-        items: Arc<Vec<RfbItem>>,
-        /// Market hints for subcontracting sellers.
-        hints: Arc<Vec<Offer>>,
-    },
-    /// A seller's offers for a round (possibly empty — also the
-    /// round-completion signal).
-    Offers {
-        /// The round being answered.
-        round: u32,
-        /// The offers.
-        offers: Vec<Offer>,
-    },
-    /// The buyer's own RFB timeout timer.
-    Timeout {
-        /// The round the timer guards.
-        round: u32,
-    },
-    /// Synthetic nested-negotiation traffic (auction rounds, bargaining).
-    Negotiate,
-    /// Award notice to a winning seller. With the lifecycle off the contract
-    /// id is [`LEGACY_CONTRACT`] and the seller sends nothing back (the
-    /// pre-lifecycle one-way notice, bit-identical on the wire); otherwise
-    /// the seller must answer with [`QtMsg::AwardAck`] or
-    /// [`QtMsg::AwardDecline`].
-    Award {
-        /// Contract id (or [`LEGACY_CONTRACT`]).
-        contract: u64,
-        /// The awarded offer id.
-        offer: u64,
-    },
-    /// Seller → buyer: award accepted, lease begins.
-    AwardAck {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Seller → buyer: award refused; the buyer fails the slot over.
-    AwardDecline {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Buyer → seller: zero-byte lease heartbeat (counted in
-    /// `lease_events`, not `messages`).
-    Lease {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Seller → buyer: lease renewed (zero-byte, like the heartbeat).
-    LeaseAck {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Buyer → seller: the contract completed; release the lease.
-    Release {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Buyer-local timer: the award-ack deadline for a contract.
-    AwardTimeout {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Buyer-local timer: the periodic lease-renewal check for a contract.
-    LeaseTick {
-        /// Contract id.
-        contract: u64,
-    },
-    /// Buyer-local timer: the response deadline of a scoped re-trade round.
-    RetradeTimeout {
-        /// Repair round number.
-        round: u32,
-    },
-}
-
-/// A federation node in the simulator: every node can sell; one also buys.
-pub enum QtNode {
-    /// A pure seller.
-    Seller(Box<SellerEngine>),
-    /// The buyer (with an optional local seller engine for its own data).
-    Buyer(Box<BuyerSim>),
-}
-
-/// Simulator-side state of the buying node.
-pub struct BuyerSim {
-    /// The trading engine.
-    pub engine: BuyerEngine,
-    /// The buyer's own seller side (its local data also competes).
-    pub local_seller: Option<SellerEngine>,
-    remote_sellers: Vec<NodeId>,
-    /// Advertised relation digests per remote seller (discovery routing).
-    /// Empty = no discovery plane, broadcast to every remote seller.
-    ads: std::collections::BTreeMap<NodeId, u64>,
-    /// The sellers the *current round* was actually sent to — the scoped
-    /// recipient set. Round completion, retransmit-to-missing, and
-    /// unreachable accounting all key off this, never off `remote_sellers`:
-    /// under scoped fan-out a seller that was never asked is not "missing".
-    cur_recipients: Vec<NodeId>,
-    /// Current-round replies buffered until the round closes, keyed by
-    /// seller. Feeding the engine at round close in ascending seller order
-    /// (not arrival order) makes the trading outcome insensitive to message
-    /// scheduling — the property that lets the real transport reproduce the
-    /// simulator's plans bit-for-bit, and the same rule the serving layer
-    /// and the direct driver already follow.
-    pending: std::collections::BTreeMap<NodeId, Vec<Offer>>,
-    /// Every `(round, seller)` reply already consumed — duplicated
-    /// deliveries and dedup resends are discarded, so a seller's offers
-    /// enter the pool exactly once per round.
-    seen_replies: std::collections::BTreeSet<(u32, NodeId)>,
-    /// Retransmission attempts made in the current round.
-    attempt: u32,
-    /// Current round's RFB payload, kept for retransmission.
-    cur_items: Arc<Vec<RfbItem>>,
-    cur_hints: Arc<Vec<Offer>>,
-    round_open: bool,
-    prev_neg_msgs: u64,
-    prev_neg_rts: u64,
-    /// RFB retransmissions sent.
-    pub retries: u64,
-    /// Response deadlines that fired while their round was open.
-    pub timeouts_fired: u64,
-    /// Rounds closed with sellers still missing.
-    pub degraded_rounds: u32,
-    /// Sellers that never answered their last RFB.
-    pub unreachable: std::collections::BTreeSet<NodeId>,
-    /// Set when trading finished.
-    pub done: bool,
-    /// Virtual time at which trading finished.
-    pub finish_time: f64,
-    /// Contract lifecycle driver (`enable_contracts` only); created when
-    /// trading converges and settled before the simulation drains.
-    pub controller: Option<ContractController>,
-}
-
-impl Handler<QtMsg> for QtNode {
-    fn on_message(&mut self, ctx: &mut Ctx<QtMsg>, from: NodeId, msg: QtMsg) {
-        match (self, msg) {
-            (
-                QtNode::Seller(engine),
-                QtMsg::Rfb {
-                    req,
-                    round,
-                    items,
-                    hints,
-                },
-            ) => {
-                if engine.offline_rounds.contains(&round) {
-                    // Autonomy: the node simply does not answer.
-                    return;
-                }
-                // Idempotent: a retransmitted or duplicated RFB with a known
-                // request id is answered with the identical reply at zero
-                // effort.
-                let resp = engine.respond_request(req, round, &items, &hints);
-                ctx.charge_compute(resp.effort as f64 * engine_cfg(engine).per_subplan_seconds);
-                let bytes = resp.offers.len() as f64 * engine_cfg(engine).offer_msg_bytes;
-                ctx.send(
-                    from,
-                    QtMsg::Offers {
-                        round,
-                        offers: resp.offers,
-                    },
-                    bytes,
-                    "offers",
-                );
-            }
-            (QtNode::Seller(engine), QtMsg::Award { contract, offer }) => {
-                if contract == LEGACY_CONTRACT {
-                    // Pre-lifecycle one-way notice: record the win, send
-                    // nothing back. The awarded offer id resolves which
-                    // relations the win touches, so unrelated cache entries
-                    // survive the strategy update.
-                    engine.observe_award_for_offer(true, offer);
-                } else {
-                    // Two-phase award: learn from the win exactly once, but
-                    // re-ack every (possibly retransmitted) award so a lost
-                    // ack does not strand the buyer.
-                    if engine.accept_award(contract) {
-                        engine.observe_award_for_offer(true, offer);
-                    }
-                    ctx.send(
-                        from,
-                        QtMsg::AwardAck { contract },
-                        engine_cfg(engine).offer_msg_bytes,
-                        "award-ack",
-                    );
-                }
-            }
-            (QtNode::Seller(engine), QtMsg::Lease { contract }) => {
-                // Renew only leases actually held; the reply rides the
-                // faultable network as zero-byte control traffic.
-                if engine.has_contract(contract) {
-                    ctx.send_lease(from, QtMsg::LeaseAck { contract }, "lease-ack");
-                }
-            }
-            (QtNode::Seller(engine), QtMsg::Release { contract }) => {
-                engine.release_contract(contract);
-            }
-            (QtNode::Seller(_), _) => {}
-            (QtNode::Buyer(b), QtMsg::Start) => {
-                let items = b.engine.start();
-                b.broadcast(ctx, 0, items, Vec::new());
-            }
-            (QtNode::Buyer(b), QtMsg::Offers { round, offers }) => {
-                // A duplicated delivery or a seller's dedup resend carries a
-                // (round, seller) pair already consumed: discard it, so the
-                // offer pool and the awaiting count never double-book.
-                if !b.seen_replies.insert((round, from)) {
-                    return;
-                }
-                // Scoped re-trade replies feed the contract controller, not
-                // the (already converged) trading engine.
-                if is_repair_round(round) {
-                    b.ctl_event(ctx, |c| c.on_retrade_offers(from, round, offers));
-                    return;
-                }
-                // A seller that answers — even late — is reachable.
-                b.unreachable.remove(&from);
-                if b.round_open && round == b.engine.round {
-                    // Buffer current-round replies; they enter the pool in
-                    // ascending seller order when the round closes.
-                    b.pending.insert(from, offers);
-                    if b.pending.len() == b.cur_recipients.len() {
-                        b.finish_round(ctx);
-                    }
-                } else {
-                    // A straggler from an already-closed round: all market
-                    // information is welcome, it just can't advance a round.
-                    b.engine.receive_offers(offers);
-                }
-            }
-            (QtNode::Buyer(b), QtMsg::Timeout { round }) => {
-                if !(b.round_open && round == b.engine.round) {
-                    return; // stale timer from an already-closed round
-                }
-                b.timeouts_fired += 1;
-                // Missing = scoped recipients that never answered. Sellers
-                // the round was never sent to are neither retransmitted to
-                // nor counted unreachable.
-                let missing: Vec<NodeId> = b
-                    .cur_recipients
-                    .iter()
-                    .copied()
-                    .filter(|s| !b.pending.contains_key(s))
-                    .collect();
-                if !missing.is_empty() && b.attempt < b.engine.config.max_rfb_retries {
-                    // Retransmit only to the unanswered sellers, then re-arm
-                    // the deadline with capped exponential backoff.
-                    b.attempt += 1;
-                    let bytes = (b.cur_items.len() + b.cur_hints.len()) as f64
-                        * b.engine.config.query_msg_bytes;
-                    for &s in &missing {
-                        b.retries += 1;
-                        ctx.send(
-                            s,
-                            QtMsg::Rfb {
-                                req: round as u64,
-                                round,
-                                items: Arc::clone(&b.cur_items),
-                                hints: Arc::clone(&b.cur_hints),
-                            },
-                            bytes,
-                            "rfb-retry",
-                        );
-                    }
-                    let base = b.engine.config.seller_timeout;
-                    let delay = (base * b.engine.config.rfb_retry_backoff.powi(b.attempt as i32))
-                        .min(8.0 * base);
-                    ctx.schedule(delay, QtMsg::Timeout { round }, "timeout");
-                } else {
-                    // Graceful degradation: trade with the offers that
-                    // arrived and remember who never answered.
-                    if !missing.is_empty() {
-                        b.degraded_rounds += 1;
-                        b.unreachable.extend(missing);
-                    }
-                    b.finish_round(ctx);
-                }
-            }
-            (QtNode::Buyer(b), QtMsg::AwardAck { contract }) => {
-                b.ctl_event(ctx, |c| c.on_award_ack(contract));
-            }
-            (QtNode::Buyer(b), QtMsg::AwardDecline { contract }) => {
-                b.ctl_event(ctx, |c| c.on_award_decline(contract));
-            }
-            (QtNode::Buyer(b), QtMsg::LeaseAck { contract }) => {
-                b.ctl_event(ctx, |c| c.on_lease_ack(contract));
-            }
-            (QtNode::Buyer(b), QtMsg::AwardTimeout { contract }) => {
-                b.ctl_event(ctx, |c| c.on_award_timeout(contract));
-            }
-            (QtNode::Buyer(b), QtMsg::LeaseTick { contract }) => {
-                b.ctl_event(ctx, |c| c.on_lease_tick(contract));
-            }
-            (QtNode::Buyer(b), QtMsg::RetradeTimeout { round }) => {
-                b.ctl_event(ctx, |c| c.on_retrade_timeout(round));
-            }
-            (QtNode::Buyer(_), _) => {}
-        }
-    }
-}
-
-fn engine_cfg(engine: &SellerEngine) -> &QtConfig {
-    // SellerEngine keeps its config private; expose the two constants we
-    // need through a tiny accessor.
-    engine.config()
-}
-
-impl BuyerSim {
-    /// The scoped recipient set of a round: with a discovery catalog, only
-    /// sellers whose advertised digest intersects the round's relations;
-    /// otherwise every remote seller. Subcontracting disables scoping — any
-    /// seller may then bid on any item via market hints, so narrowing the
-    /// fan-out could hide a winning subcontracted offer.
-    fn scope_recipients(&self, items: &[RfbItem]) -> Vec<NodeId> {
-        if self.ads.is_empty() || self.engine.config.enable_subcontracting {
-            return self.remote_sellers.clone();
-        }
-        let want: u64 = items
-            .iter()
-            .fold(0, |d, it| d | crate::discovery::query_digest(&it.query));
-        self.remote_sellers
-            .iter()
-            .copied()
-            .filter(|s| self.ads.get(s).copied().unwrap_or(0) & want != 0)
-            .collect()
-    }
-
-    fn broadcast(
-        &mut self,
-        ctx: &mut Ctx<QtMsg>,
-        round: u32,
-        items: Vec<RfbItem>,
-        hints: Vec<Offer>,
-    ) {
-        // The buyer's own data competes without network messages.
-        if let Some(local) = &mut self.local_seller {
-            let resp = local.respond_with_hints(round, &items, &hints);
-            ctx.charge_compute(resp.effort as f64 * self.engine.config.per_subplan_seconds);
-            self.engine.receive_offers(resp.offers);
-        }
-        self.pending.clear();
-        self.attempt = 0;
-        self.round_open = true;
-        self.cur_recipients = self.scope_recipients(&items);
-        let bytes = (items.len() + hints.len()) as f64 * self.engine.config.query_msg_bytes;
-        self.cur_items = Arc::new(items);
-        self.cur_hints = Arc::new(hints);
-        for &s in &self.cur_recipients {
-            ctx.send(
-                s,
-                QtMsg::Rfb {
-                    req: round as u64,
-                    round,
-                    items: Arc::clone(&self.cur_items),
-                    hints: Arc::clone(&self.cur_hints),
-                },
-                bytes,
-                "rfb",
-            );
-        }
-        if self.cur_recipients.is_empty() {
-            self.finish_round(ctx);
-        } else {
-            ctx.schedule(
-                self.engine.config.seller_timeout,
-                QtMsg::Timeout { round },
-                "timeout",
-            );
-        }
-    }
-
-    fn finish_round(&mut self, ctx: &mut Ctx<QtMsg>) {
-        self.round_open = false;
-        // Drain the round's replies in ascending seller order — the same
-        // sequence the direct driver's merge produces — so the offer pool's
-        // contents are independent of delivery timing.
-        for (_, offers) in std::mem::take(&mut self.pending) {
-            self.engine.receive_offers(offers);
-        }
-        let outcome = self.engine.close_round();
-        let considered = self
-            .engine
-            .history
-            .last()
-            .map(|h| h.considered)
-            .unwrap_or(0);
-        ctx.charge_compute(considered as f64 * self.engine.config.per_offer_seconds);
-        // Nested-negotiation traffic.
-        let neg_msgs = self.engine.negotiation_messages - self.prev_neg_msgs;
-        let neg_rts = self.engine.negotiation_round_trips - self.prev_neg_rts;
-        self.prev_neg_msgs = self.engine.negotiation_messages;
-        self.prev_neg_rts = self.engine.negotiation_round_trips;
-        ctx.charge_compute(neg_rts as f64 * 2.0 * self.engine.config.link.latency);
-        // Negotiation traffic targets the sellers the round actually spoke
-        // to (identical to all remotes when no discovery scoping is active).
-        if !self.cur_recipients.is_empty() {
-            for i in 0..neg_msgs {
-                let to = self.cur_recipients[i as usize % self.cur_recipients.len()];
-                ctx.send(
-                    to,
-                    QtMsg::Negotiate,
-                    self.engine.config.offer_msg_bytes,
-                    "negotiate",
-                );
-            }
-        }
-        match outcome {
-            RoundOutcome::Continue(items) => {
-                let round = self.engine.round;
-                let hints = if self.engine.config.enable_subcontracting {
-                    self.engine.hints()
-                } else {
-                    Vec::new()
-                };
-                self.broadcast(ctx, round, items, hints);
-            }
-            RoundOutcome::Done => {
-                self.finish_time = ctx.now();
-                if self.engine.config.enable_contracts {
-                    if let Some(plan) = self.engine.best.clone() {
-                        // Hand the plan to the contract controller: the
-                        // trading phase is over (finish_time is set), the
-                        // lifecycle runs after it.
-                        let (ctl, actions) = ContractController::new(
-                            self.engine.node,
-                            self.engine.config.clone(),
-                            plan,
-                            &self.engine.offers,
-                            self.remote_sellers.clone(),
-                            0,
-                        );
-                        self.controller = Some(ctl);
-                        self.apply_actions(ctx, actions);
-                    }
-                } else if let Some(plan) = &self.engine.best {
-                    for (_, seller, offer) in remote_awards(plan, self.engine.node) {
-                        ctx.send(
-                            seller,
-                            QtMsg::Award {
-                                contract: LEGACY_CONTRACT,
-                                offer,
-                            },
-                            self.engine.config.offer_msg_bytes,
-                            "award",
-                        );
-                    }
-                }
-                self.done = true;
-            }
-        }
-    }
-
-    /// Route a contract event to the controller and put the resulting
-    /// actions on the wire.
-    fn ctl_event(
-        &mut self,
-        ctx: &mut Ctx<QtMsg>,
-        event: impl FnOnce(&mut ContractController) -> Vec<ContractAction>,
-    ) {
-        let Some(ctl) = self.controller.as_mut() else {
-            return;
-        };
-        let actions = event(ctl);
-        self.apply_actions(ctx, actions);
-    }
-
-    /// Translate controller actions into simulator traffic and timers.
-    fn apply_actions(&mut self, ctx: &mut Ctx<QtMsg>, actions: Vec<ContractAction>) {
-        let cfg = &self.engine.config;
-        for a in actions {
-            match a {
-                ContractAction::SendAward {
-                    seller,
-                    contract,
-                    offer,
-                } => ctx.send(
-                    seller,
-                    QtMsg::Award { contract, offer },
-                    cfg.offer_msg_bytes,
-                    "award",
-                ),
-                ContractAction::ArmAwardTimer { contract, delay } => {
-                    ctx.schedule(delay, QtMsg::AwardTimeout { contract }, "award-timeout");
-                }
-                ContractAction::SendLease { seller, contract } => {
-                    ctx.send_lease(seller, QtMsg::Lease { contract }, "lease");
-                }
-                ContractAction::ArmLeaseTimer { contract, delay } => {
-                    ctx.schedule(delay, QtMsg::LeaseTick { contract }, "lease-tick");
-                }
-                ContractAction::SendRelease { seller, contract } => ctx.send(
-                    seller,
-                    QtMsg::Release { contract },
-                    cfg.offer_msg_bytes,
-                    "release",
-                ),
-                ContractAction::SendRetrade {
-                    targets,
-                    round,
-                    items,
-                } => {
-                    let bytes = items.len() as f64 * cfg.query_msg_bytes;
-                    let items = Arc::new(items);
-                    let hints: Arc<Vec<Offer>> = Arc::new(Vec::new());
-                    for t in targets {
-                        ctx.send(
-                            t,
-                            QtMsg::Rfb {
-                                req: round as u64,
-                                round,
-                                items: Arc::clone(&items),
-                                hints: Arc::clone(&hints),
-                            },
-                            bytes,
-                            "rfb-repair",
-                        );
-                    }
-                }
-                ContractAction::ArmRetradeTimer { round, delay } => {
-                    ctx.schedule(delay, QtMsg::RetradeTimeout { round }, "retrade-timeout");
-                }
-            }
-        }
-    }
-}
-
 /// Run QT on the discrete-event simulator with a uniform topology built
 /// from `config.link`. Returns the outcome and the simulator metrics
 /// (virtual end time, per-kind message counts).
@@ -780,39 +239,20 @@ pub fn run_qt_sim(
     sellers: BTreeMap<NodeId, SellerEngine>,
     config: &QtConfig,
 ) -> (QtOutcome, qt_net::Metrics) {
-    run_qt_sim_with_topology(
-        buyer_node,
-        dict,
-        query,
-        sellers,
-        config,
-        Topology::Uniform(config.link),
-    )
-}
-
-/// Run QT on the discrete-event simulator over an arbitrary [`Topology`]
-/// (e.g. [`Topology::TwoTier`] regional offices). Sellers still *estimate*
-/// delivery with `config.link` — autonomous nodes do not know where the
-/// buyer sits — while actual message transport follows the topology.
-pub fn run_qt_sim_with_topology(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    query: &Query,
-    sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-    topology: Topology,
-) -> (QtOutcome, qt_net::Metrics) {
+    let topology = Topology::Uniform(config.link);
     run_qt_sim_with_faults(buyer_node, dict, query, sellers, config, topology, None)
 }
 
-/// Run QT on the discrete-event simulator with an optional [`FaultPlan`]
-/// injecting message loss, duplication, jitter, partitions, and crash
-/// windows. With `None` (or an inert plan) this is bit-identical to
-/// [`run_qt_sim_with_topology`]. Under faults the buyer retransmits
-/// unanswered RFBs with capped exponential backoff and, past
-/// `config.max_rfb_retries`, degrades the round to the offers that arrived;
-/// the returned metrics carry drop/retry/timeout/degraded counters.
-#[allow(clippy::too_many_arguments)]
+/// Run QT on the discrete-event simulator over an arbitrary [`Topology`]
+/// (e.g. [`Topology::TwoTier`] regional offices) with an optional
+/// [`FaultPlan`] injecting message loss, duplication, jitter, partitions,
+/// and crash windows; `None` (or an inert plan) injects nothing. Sellers
+/// still *estimate* delivery with `config.link` — autonomous nodes do not
+/// know where the buyer sits — while actual message transport follows the
+/// topology. Under faults the buyer retransmits unanswered RFBs with capped
+/// exponential backoff and, past `config.max_rfb_retries`, degrades the
+/// round to the offers that arrived; the returned metrics carry
+/// drop/retry/timeout/degraded counters.
 pub fn run_qt_sim_with_faults(
     buyer_node: NodeId,
     dict: Arc<SchemaDict>,
@@ -822,184 +262,16 @@ pub fn run_qt_sim_with_faults(
     topology: Topology,
     faults: Option<FaultPlan>,
 ) -> (QtOutcome, qt_net::Metrics) {
-    run_qt_sim_with_discovery(
-        buyer_node, dict, query, sellers, config, topology, faults, None,
-    )
-}
-
-/// [`run_qt_sim_with_faults`] with an explicit discovery catalog: `ads` maps
-/// each remote seller to its advertised relation digest (see
-/// [`crate::discovery`]). With `config.enable_discovery` the buyer scopes
-/// every RFB round to the sellers whose digest intersects the round's
-/// relations instead of broadcasting. `ads = None` computes exact digests
-/// from the seller engines (holdings ∪ view relations); pass stale digests
-/// explicitly to model catalog drift. With discovery off (or subcontracting
-/// on) the catalog is ignored and the run is bit-identical to the
-/// flat-broadcast driver.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qt_sim_with_discovery(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    query: &Query,
-    mut sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-    topology: Topology,
-    faults: Option<FaultPlan>,
-    ads: Option<BTreeMap<NodeId, u64>>,
-) -> (QtOutcome, qt_net::Metrics) {
-    let mut sim: Simulator<QtMsg, QtNode> = Simulator::new(topology);
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan);
-    }
-    let cache_hits_before: u64 = sellers.values().map(|s| s.cache_hits).sum();
-    let cache_misses_before: u64 = sellers.values().map(|s| s.cache_misses).sum();
-    let local_seller = sellers.remove(&buyer_node);
-    let ads = catalog_for(config, &sellers, ads);
-    let remote: Vec<NodeId> = sellers.keys().copied().collect();
-    let all_nodes: Vec<NodeId> = remote.clone();
-    let buyer = BuyerSim {
-        engine: BuyerEngine::new(buyer_node, dict, query.clone(), config.clone()),
-        local_seller,
-        remote_sellers: remote,
-        ads,
-        cur_recipients: Vec::new(),
-        pending: std::collections::BTreeMap::new(),
-        seen_replies: std::collections::BTreeSet::new(),
-        attempt: 0,
-        cur_items: Arc::new(Vec::new()),
-        cur_hints: Arc::new(Vec::new()),
-        round_open: false,
-        prev_neg_msgs: 0,
-        prev_neg_rts: 0,
-        retries: 0,
-        timeouts_fired: 0,
-        degraded_rounds: 0,
-        unreachable: std::collections::BTreeSet::new(),
-        done: false,
-        finish_time: 0.0,
-        controller: None,
-    };
-    sim.add_node(buyer_node, QtNode::Buyer(Box::new(buyer)));
-    for (node, engine) in sellers {
-        sim.add_node(node, QtNode::Seller(Box::new(engine)));
-    }
-    sim.inject(0.0, buyer_node, buyer_node, QtMsg::Start, "start");
-    sim.run(10_000_000);
-    let mut metrics = sim.metrics.clone();
-    let mut seller_effort = 0u64;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    for node in &all_nodes {
-        if let Some(QtNode::Seller(e)) = sim.handler(*node) {
-            seller_effort += e.total_effort;
-            cache_hits += e.cache_hits;
-            cache_misses += e.cache_misses;
-        }
-    }
-    let QtNode::Buyer(b) = sim.handler(buyer_node).expect("buyer registered") else {
-        panic!("buyer node is not a buyer");
-    };
-    let outcome = finish_qt_outcome(
-        b,
-        seller_effort,
-        cache_hits,
-        cache_misses,
-        cache_hits_before,
-        cache_misses_before,
-        &mut metrics,
-    );
-    (outcome, metrics)
-}
-
-/// Resolve the discovery catalog a driver run trades under: `None` with
-/// discovery disabled (scoping off, broadcast as ever), otherwise the
-/// explicit catalog or — by default — exact digests computed from the
-/// remote seller engines.
-fn catalog_for(
-    config: &QtConfig,
-    remote_sellers: &BTreeMap<NodeId, SellerEngine>,
-    ads: Option<BTreeMap<NodeId, u64>>,
-) -> BTreeMap<NodeId, u64> {
-    if !config.enable_discovery {
-        return BTreeMap::new();
-    }
-    ads.unwrap_or_else(|| {
-        remote_sellers
-            .iter()
-            .map(|(&n, e)| (n, crate::discovery::seller_digest(e)))
-            .collect()
-    })
-}
-
-/// Shared post-processing for the simulator and real-transport drivers:
-/// fold the buyer's state and the sellers' effort/cache counters into a
-/// [`QtOutcome`], patching the driver-filled fields of `metrics`.
-fn finish_qt_outcome(
-    b: &BuyerSim,
-    mut seller_effort: u64,
-    mut cache_hits: u64,
-    mut cache_misses: u64,
-    cache_hits_before: u64,
-    cache_misses_before: u64,
-    metrics: &mut qt_net::Metrics,
-) -> QtOutcome {
-    assert!(b.done, "run drained without finishing trading");
-    // Trailing (stale) timers may run after trading completed; the
-    // optimization finished when the buyer said so.
-    let end_time = b.finish_time;
-    if let Some(local) = &b.local_seller {
-        seller_effort += local.total_effort;
-        cache_hits += local.cache_hits;
-        cache_misses += local.cache_misses;
-    }
-    let offer_cache_hits = cache_hits - cache_hits_before;
-    let offer_cache_misses = cache_misses - cache_misses_before;
-    metrics.offer_cache_hits = offer_cache_hits;
-    metrics.offer_cache_misses = offer_cache_misses;
-    metrics.retries = b.retries;
-    metrics.timeouts = b.timeouts_fired;
-    metrics.degraded_rounds = b.degraded_rounds as u64;
-    let engine = &b.engine;
-    // With the lifecycle on, the controller owns the (possibly repaired)
-    // plan; a plan with abandoned slots references lost nodes and is not
-    // returned.
-    let mut plan = engine.best.clone();
-    let mut contract_stats = crate::contract::ContractStats::default();
-    let mut contracts = Vec::new();
-    if let Some(ctl) = &b.controller {
-        assert!(ctl.settled, "run drained with contracts still in flight");
-        contract_stats = ctl.stats;
-        contracts = ctl.reports();
-        plan = ctl.plan_valid().then(|| ctl.plan.clone());
-    }
-    metrics.awards_sent = contract_stats.awards_sent;
-    metrics.award_retries = contract_stats.award_retries;
-    metrics.lost_awards = contract_stats.lost_awards;
-    metrics.lease_expiries = contract_stats.lease_expiries;
-    metrics.reawards = contract_stats.reawards;
-    QtOutcome {
-        plan,
-        iterations: engine.round + 1,
-        // Exclude the kick-off event from protocol message counts (timers
-        // are tracked separately by the runtime and never land here).
-        messages: metrics.messages - metrics.kind_count("start"),
-        bytes: metrics.bytes,
-        optimization_time: end_time,
-        seller_effort,
-        buyer_considered: engine.total_considered(),
-        offer_cache_hits,
-        offer_cache_misses,
-        retries: b.retries,
-        timeouts: b.timeouts_fired,
-        degraded_rounds: b.degraded_rounds,
-        unreachable_sellers: b.unreachable.iter().copied().collect(),
-        contracts_awarded: contract_stats.contracts_awarded,
-        contracts_repaired: contract_stats.contracts_repaired,
-        reawards: contract_stats.reawards,
-        rescoped_trades: contract_stats.rescoped_trades,
-        contracts,
-        history: engine.history.clone(),
-    }
+    single_session(serve_on_sim(
+        buyer_node,
+        dict,
+        vec![(0.0, query.clone())],
+        sellers,
+        config,
+        &ServeConfig::default(),
+        topology,
+        faults,
+    ))
 }
 
 /// Run QT on the real thread-per-node transport (`qt_net::real`): buyer and
@@ -1013,76 +285,60 @@ pub fn run_qt_real(
     buyer_node: NodeId,
     dict: Arc<SchemaDict>,
     query: &Query,
-    mut sellers: BTreeMap<NodeId, SellerEngine>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
     config: &QtConfig,
     real: qt_net::RealConfig,
 ) -> (QtOutcome, qt_net::Metrics) {
-    let cache_hits_before: u64 = sellers.values().map(|s| s.cache_hits).sum();
-    let cache_misses_before: u64 = sellers.values().map(|s| s.cache_misses).sum();
-    let local_seller = sellers.remove(&buyer_node);
-    // The same exact digests the simulator driver computes: transport
-    // conformance holds with discovery on, too.
-    let ads = catalog_for(config, &sellers, None);
-    let remote: Vec<NodeId> = sellers.keys().copied().collect();
-    let buyer = BuyerSim {
-        engine: BuyerEngine::new(buyer_node, dict, query.clone(), config.clone()),
-        local_seller,
-        remote_sellers: remote,
-        ads,
-        cur_recipients: Vec::new(),
-        pending: std::collections::BTreeMap::new(),
-        seen_replies: std::collections::BTreeSet::new(),
-        attempt: 0,
-        cur_items: Arc::new(Vec::new()),
-        cur_hints: Arc::new(Vec::new()),
-        round_open: false,
-        prev_neg_msgs: 0,
-        prev_neg_rts: 0,
-        retries: 0,
-        timeouts_fired: 0,
-        degraded_rounds: 0,
-        unreachable: std::collections::BTreeSet::new(),
-        done: false,
-        finish_time: 0.0,
-        controller: None,
-    };
-    let mut rt: qt_net::RealRuntime<QtMsg, QtNode> = qt_net::RealRuntime::new(real);
-    rt.add_node(buyer_node, QtNode::Buyer(Box::new(buyer)));
-    for (node, engine) in sellers {
-        rt.add_node(node, QtNode::Seller(Box::new(engine)));
-    }
-    rt.inject(0.0, buyer_node, buyer_node, QtMsg::Start, "start");
-    // Trading is over when the buyer converged and (with the lifecycle on)
-    // every contract settled; channel FIFO guarantees trailing awards and
-    // releases are delivered before the shutdown marker.
-    let out = rt.run(buyer_node, |h| {
-        matches!(h, QtNode::Buyer(b)
-            if b.done && b.controller.as_ref().is_none_or(|c| c.settled))
-    });
-    let mut metrics = out.metrics;
-    let mut seller_effort = 0u64;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut buyer_back = None;
-    for (_, handler) in out.handlers {
-        match handler {
-            QtNode::Seller(e) => {
-                seller_effort += e.total_effort;
-                cache_hits += e.cache_hits;
-                cache_misses += e.cache_misses;
-            }
-            QtNode::Buyer(b) => buyer_back = Some(b),
-        }
-    }
-    let b = buyer_back.expect("buyer handler returned");
-    let outcome = finish_qt_outcome(
-        &b,
+    single_session(run_qt_serve_real(
+        buyer_node,
+        dict,
+        vec![(0.0, query.clone())],
+        sellers,
+        config,
+        &ServeConfig::default(),
+        real,
+    ))
+}
+
+/// Fold a one-session serving run (arrival at t = 0, so the session's finish
+/// time *is* the optimization time) into the single-query outcome.
+fn single_session(out: ServeOutcome) -> (QtOutcome, qt_net::Metrics) {
+    let ServeOutcome {
+        mut reports,
+        metrics,
+        messages,
         seller_effort,
-        cache_hits,
-        cache_misses,
-        cache_hits_before,
-        cache_misses_before,
-        &mut metrics,
-    );
+        contracts: stats,
+        unreachable_sellers,
+        ..
+    } = out;
+    let report = reports.pop().expect("one arrival, one report");
+    let mut contracts = report.contracts;
+    for c in &mut contracts {
+        // Serve-path contract ids carry the session in their high word; a
+        // single-query outcome numbers its contracts from zero.
+        c.id &= u64::from(u32::MAX);
+    }
+    let outcome = QtOutcome {
+        plan: report.plan,
+        iterations: report.iterations,
+        messages,
+        bytes: metrics.bytes,
+        optimization_time: report.finished,
+        seller_effort,
+        buyer_considered: report.history.iter().map(|h| h.considered).sum(),
+        offer_cache_hits: metrics.offer_cache_hits,
+        offer_cache_misses: metrics.offer_cache_misses,
+        retries: metrics.retries,
+        timeouts: metrics.timeouts,
+        degraded_rounds: metrics.degraded_rounds as u32,
+        unreachable_sellers,
+        contracts_awarded: stats.contracts_awarded,
+        contracts_repaired: stats.contracts_repaired,
+        reawards: stats.reawards,
+        rescoped_trades: stats.rescoped_trades,
+        contracts,
+        history: report.history,
+    };
     (outcome, metrics)
 }

@@ -8,23 +8,27 @@
 //! | Step | Module |
 //! |------|--------|
 //! | B1: strategic valuation of the working set Q | [`qt_trade::BuyerValueBook`] via [`buyer`] |
-//! | B2: Request-For-Bids broadcast | [`driver`] |
+//! | B2: Request-For-Bids broadcast | [`driver`] (in-process), [`session`] (networked) |
 //! | S2.1–2.2: partial query construction & cost estimation | [`seller`] |
 //! | S2.3: seller predicates analyser (materialized views) | [`seller`] |
 //! | B3/S3: nested winner-selection negotiation | [`qt_trade::ProtocolKind`] via [`buyer`] |
 //! | B4: candidate plan generation (answering queries using offers) | [`plangen`] |
 //! | B5/B6: buyer predicates analyser (new working set) | [`analyser`] |
 //! | B7/B8: convergence check, best plan | [`buyer`] |
+//! | scale-out: broker tier, admission control, regional failover | [`broker`] over [`discovery`] |
 //!
-//! The engines are transport-independent; [`driver`] runs them either
-//! *directly* (a synchronous loop with analytic message accounting — fast,
-//! used for plan-quality experiments and tests) or *on the simulator*
-//! (`qt-net` handlers with virtual time — used for optimization-time and
-//! message-count experiments). Both produce identical plans and message
-//! counts by construction; a test asserts it. A third runtime,
-//! `qt_net::real`, executes the same handlers thread-per-node on real cores
-//! (in-process channels or TCP via [`wire`]); the conformance suite in
-//! `tests/real_transport.rs` proves its plans bit-identical to the sim's.
+//! The engines are transport-independent, and exactly two loops drive them.
+//! [`driver::run_qt_direct`] is the in-process oracle: a synchronous loop
+//! with analytic message accounting — fast, used for plan-quality
+//! experiments and tests. [`session::SessionManager`] is the one networked
+//! buyer: `qt-net` handlers that run unchanged on the discrete-event
+//! simulator (virtual time — optimization-time and message-count
+//! experiments) and on `qt_net::real` (thread-per-node on real cores,
+//! in-process channels or TCP via [`wire`]). A single-query trade
+//! ([`run_qt_sim`], [`run_qt_real`]) is a serving run with one session at
+//! concurrency 1. Direct and networked runs produce identical plans and
+//! message counts by construction; `tests/single_session_golden.rs` and the
+//! conformance suite in `tests/real_transport.rs` assert it bit-for-bit.
 
 pub mod analyser;
 pub mod broker;
@@ -53,10 +57,7 @@ pub use contract::{
 };
 pub use discovery::{prune_offers, query_digest, seller_digest, BrokerSpec, BrokerTree, SellerAd};
 pub use dist_plan::{DistributedPlan, PlanEstimate, Purchase};
-pub use driver::{
-    run_qt_direct, run_qt_real, run_qt_sim, run_qt_sim_with_discovery, run_qt_sim_with_faults,
-    run_qt_sim_with_topology, QtOutcome,
-};
+pub use driver::{run_qt_direct, run_qt_real, run_qt_sim, run_qt_sim_with_faults, QtOutcome};
 pub use offer::{Offer, OfferKind, RfbItem};
 pub use relset::RelSet;
 pub use seller::{session_req, SellerEngine, SessionRfb};

@@ -22,10 +22,9 @@ pub struct SellerResponse {
     pub effort: u64,
 }
 
-/// One session's slice of a batched RFB: the serving layer coalesces every
-/// session's current-round request to the same seller into one message, and
-/// each entry is what a stand-alone [`QtMsg::Rfb`](crate::driver::QtMsg)
-/// would have carried.
+/// One session's slice of a batched RFB: the buyer coalesces every session's
+/// current-round request to the same seller into one message, one entry per
+/// session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionRfb {
     /// The negotiation this entry belongs to.
@@ -72,7 +71,7 @@ pub struct SellerEngine {
     /// Cumulative optimization effort across all RFBs (read by the drivers).
     pub total_effort: u64,
     /// Rounds in which this node is offline/unresponsive (failure injection
-    /// for the availability experiments; simulator driver only).
+    /// for the availability experiments; networked runs only).
     pub offline_rounds: std::collections::BTreeSet<u32>,
     /// RFB items answered from the offer cache (cumulative).
     pub cache_hits: u64,
@@ -453,31 +452,6 @@ impl SellerEngine {
             out.push(d);
         }
         Some(out)
-    }
-
-    /// Idempotent RFB entry point for unreliable transports: `req` uniquely
-    /// identifies the request, and a retransmitted or fault-duplicated RFB
-    /// with a known `req` is answered with the *identical* reply (same offer
-    /// ids, zero effort) so the buyer can recognize and discard duplicates.
-    /// Composes with the offer cache: the first response to a `req` may
-    /// itself be served from memoized evaluations.
-    pub fn respond_request(
-        &mut self,
-        req: u64,
-        round: u32,
-        items: &[RfbItem],
-        hints: &[Offer],
-    ) -> SellerResponse {
-        if let Some(offers) = self.rfb_replies.get(&req) {
-            self.duplicate_rfbs += 1;
-            return SellerResponse {
-                offers: offers.clone(),
-                effort: 0,
-            };
-        }
-        let resp = self.respond_with_hints(round, items, hints);
-        self.rfb_replies.insert(req, resp.offers.clone());
-        resp
     }
 
     /// Answer a batched RFB covering several concurrent sessions in one
@@ -912,10 +886,11 @@ enum ItemReply {
     Fresh(SellerResponse),
 }
 
-/// Canonical request id for `session`'s RFB in `round`. The `+ 1` keeps the
-/// serve path's id space (≥ 2³²) disjoint from the single-session drivers'
-/// (`round as u64`, < 2³²), so one engine can serve both without a memo
-/// collision; [`SellerEngine::forget_session`] relies on the same encoding.
+/// Canonical request id for `session`'s RFB in `round`: the session (plus
+/// one, so no id is zero) in the high word, the round in the low word.
+/// Contract ids use the same high word, and
+/// [`SellerEngine::forget_session`] relies on that encoding to drop exactly
+/// one session's memos and leases.
 pub fn session_req(session: SessionId, round: u32) -> u64 {
     ((session.0 + 1) << 32) | round as u64
 }
@@ -993,6 +968,18 @@ mod tests {
             query: q.clone(),
             ref_value: f64::INFINITY,
         }]
+    }
+
+    /// Session 0's request for `q` in `round`, as the buyer stages it.
+    fn entry(round: u32, q: &Query) -> SessionRfb {
+        SessionRfb {
+            session: SessionId(0),
+            req: session_req(SessionId(0), round),
+            round,
+            items: Arc::new(rfb(q)),
+            hints: Arc::new(Vec::new()),
+            priority: 0,
+        }
     }
 
     #[test]
@@ -1171,9 +1158,9 @@ mod tests {
         let cat = catalog();
         let q = motivating(&cat);
         let mut seller = SellerEngine::new(cat.holdings_of(NodeId(2)), QtConfig::default());
-        let first = seller.respond_request(42, 0, &rfb(&q), &[]);
+        let first = seller.respond_batch(&[entry(0, &q)]).remove(0);
         let effort_after = seller.total_effort;
-        let again = seller.respond_request(42, 0, &rfb(&q), &[]);
+        let again = seller.respond_batch(&[entry(0, &q)]).remove(0);
         assert_eq!(seller.duplicate_rfbs, 1);
         assert_eq!(again.effort, 0, "a dedup hit costs nothing");
         assert_eq!(seller.total_effort, effort_after);
@@ -1182,7 +1169,7 @@ mod tests {
             assert_eq!(a.id, b.id, "the dedup table resends identical ids");
         }
         // A new request id is a new reply — fresh ids, offer cache welcome.
-        let fresh = seller.respond_request(43, 1, &rfb(&q), &[]);
+        let fresh = seller.respond_batch(&[entry(1, &q)]).remove(0);
         assert_ne!(fresh.offers[0].id, first.offers[0].id);
         assert_eq!(seller.duplicate_rfbs, 1);
     }
@@ -1320,8 +1307,8 @@ mod tests {
         let q_inv = parse_query(&cat.dict, "SELECT charge FROM invoiceline").unwrap();
         let mut seller = SellerEngine::new(cat.holdings_of(NodeId(2)), QtConfig::default());
         seller.strategy = qt_trade::SellerStrategy::adaptive_markup(1.5);
-        let r_cust = seller.respond_request(1, 0, &rfb(&q_cust), &[]);
-        seller.respond_request(2, 0, &rfb(&q_inv), &[]);
+        let r_cust = seller.respond_batch(&[entry(0, &q_cust)]).remove(0);
+        seller.respond_batch(&[entry(1, &q_inv)]);
         // Award resolved to a customer offer id: only that entry drops.
         seller.observe_award_for_offer(true, r_cust.offers[0].id);
         seller.respond(1, &rfb(&q_inv));

@@ -1,9 +1,11 @@
-//! The serving layer: many queries trading concurrently over one federation.
+//! The networked buyer and its runners: many queries trading concurrently
+//! over one federation.
 //!
-//! The single-session drivers in [`driver`](crate::driver) optimize exactly
-//! one query end-to-end. This module multiplexes M negotiations — each a
-//! [`SessionId`]-tagged buyer engine — over the same sellers on the same
-//! discrete-event simulator:
+//! [`SessionManager`] is the only buyer that speaks over a network. It
+//! multiplexes M negotiations — each a [`SessionId`]-tagged buyer engine —
+//! over the same sellers, on the discrete-event simulator or the real
+//! transport; the single-query entry points in [`driver`](crate::driver) are
+//! the M = 1 case (one arrival at t = 0, concurrency 1):
 //!
 //! * **Sessions** arrive on a clock (see `qt_workload`'s arrival generator),
 //!   queue behind an admission limit (`concurrency`), and run the ordinary
@@ -24,11 +26,12 @@
 //!   the proptest.
 
 pub use crate::broker::BrokerNode;
-use crate::buyer::{remote_awards, BuyerEngine, RoundOutcome};
+use crate::buyer::{remote_awards, BuyerEngine, IterationStats, RoundOutcome};
 use crate::compensate::compensate_plan;
 use crate::config::QtConfig;
 use crate::contract::{
-    is_repair_round, ContractAction, ContractController, ContractStats, LEGACY_CONTRACT,
+    is_repair_round, ContractAction, ContractController, ContractReport, ContractStats,
+    LEGACY_CONTRACT,
 };
 use crate::dist_plan::DistributedPlan;
 use crate::offer::{Offer, RfbItem};
@@ -163,8 +166,8 @@ impl Default for HierarchyConfig {
 /// Protocol messages of the serving layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeMsg {
-    /// A query arrives at the buyer node (injected by the driver; excluded
-    /// from protocol message counts like the single-session `Start`).
+    /// A query arrives at the buyer node (injected by the runner; a local
+    /// event, excluded from protocol message counts).
     Arrive {
         /// The session being opened.
         session: SessionId,
@@ -356,8 +359,7 @@ pub enum ServeNode {
     Broker(Box<BrokerNode>),
 }
 
-/// Per-session trading state held by the [`SessionManager`] — the serve
-/// analog of the single-session `BuyerSim`.
+/// Per-session trading state held by the [`SessionManager`].
 struct Session {
     engine: BuyerEngine,
     /// Current-round replies buffered until the round closes. Feeding the
@@ -417,6 +419,10 @@ pub struct SessionReport {
     /// Whether the session was shed by broker admission control and
     /// re-admitted on the flat path (its latency includes the backoff).
     pub shed_retried: bool,
+    /// Per-round buyer statistics (empty for a result-cache hit).
+    pub history: Vec<IterationStats>,
+    /// Per-contract final standing (empty with `enable_contracts` off).
+    pub contracts: Vec<ContractReport>,
 }
 
 impl SessionReport {
@@ -501,7 +507,15 @@ pub struct SessionManager {
 impl Handler<ServeMsg> for ServeNode {
     fn on_message(&mut self, ctx: &mut Ctx<ServeMsg>, from: NodeId, msg: ServeMsg) {
         match (self, msg) {
-            (ServeNode::Seller(engine), ServeMsg::Rfb { entries }) => {
+            (ServeNode::Seller(engine), ServeMsg::Rfb { mut entries }) => {
+                if !engine.offline_rounds.is_empty() {
+                    // Autonomy: the node simply does not answer rounds it
+                    // sits out.
+                    entries.retain(|e| !engine.offline_rounds.contains(&e.round));
+                    if entries.is_empty() {
+                        return;
+                    }
+                }
                 let resps = engine.respond_batch(&entries);
                 let effort: u64 = resps.iter().map(|r| r.effort).sum();
                 ctx.charge_compute(effort as f64 * engine.config().per_subplan_seconds);
@@ -659,6 +673,63 @@ impl Handler<ServeMsg> for ServeNode {
 }
 
 impl SessionManager {
+    /// The buyer node of a serving run. `arrivals` become sessions in order;
+    /// rounds go to `tree`'s root children — every remote seller in flat
+    /// serving, otherwise the top brokers (or the sellers themselves when
+    /// the federation fits the fanout).
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        node: NodeId,
+        dict: Arc<SchemaDict>,
+        config: QtConfig,
+        serve: ServeConfig,
+        local_seller: Option<SellerEngine>,
+        remote_sellers: Vec<NodeId>,
+        tree: &crate::discovery::BrokerTree,
+        arrivals: Vec<(f64, Query)>,
+    ) -> SessionManager {
+        let (arrive_times, queries) = arrivals.into_iter().map(|(at, q)| (at, Some(q))).unzip();
+        SessionManager {
+            node,
+            dict,
+            config,
+            serve,
+            remote_sellers,
+            children: tree.root_children.clone(),
+            child_ads: BTreeMap::new(),
+            timeout_scale: tree.depth as f64,
+            local_seller,
+            queries,
+            arrive_times,
+            sessions: BTreeMap::new(),
+            waiting: VecDeque::new(),
+            stage: BTreeMap::new(),
+            flush_pending: false,
+            completed: Vec::new(),
+            retries: 0,
+            timeouts_fired: 0,
+            degraded_rounds: 0,
+            unreachable: BTreeSet::new(),
+            lifecycles: BTreeMap::new(),
+            contract_stats: ContractStats::default(),
+            result_cache_hits: 0,
+            result_cache_misses: 0,
+            shed_sessions: 0,
+            shed_retries: 0,
+            promoted: BTreeMap::new(),
+            region_alias: BTreeMap::new(),
+            desc: tree
+                .root_children
+                .iter()
+                .map(|&c| (c, tree.seller_descendants(c)))
+                .collect(),
+            flat_retry: BTreeSet::new(),
+            shed_retried: BTreeSet::new(),
+            region_fallbacks: 0,
+            quiesce_sent: false,
+        }
+    }
+
     /// Start queued arrivals while slots are free. Sessions admitted in the
     /// same event stage their opening RFBs into the same flush.
     fn admit(&mut self, ctx: &mut Ctx<ServeMsg>) {
@@ -684,6 +755,8 @@ impl SessionManager {
                     rescoped_trades: 0,
                     repaired: false,
                     shed_retried: false,
+                    history: Vec::new(),
+                    contracts: Vec::new(),
                 });
                 continue;
             }
@@ -924,6 +997,8 @@ impl SessionManager {
             rescoped_trades: 0,
             repaired: false,
             shed_retried: false,
+            history: sess.engine.history,
+            contracts: Vec::new(),
         });
         self.admit(ctx);
     }
@@ -1257,6 +1332,8 @@ impl SessionManager {
             rescoped_trades: 0,
             repaired: false,
             shed_retried: false,
+            history: sess.engine.history,
+            contracts: Vec::new(),
         });
         self.settle_lifecycle(s);
         self.admit(ctx);
@@ -1504,6 +1581,7 @@ impl SessionManager {
             report.reawards = ctl.stats.reawards;
             report.rescoped_trades = ctl.stats.rescoped_trades;
             report.repaired = ctl.stats.contracts_repaired > 0;
+            report.contracts = ctl.reports();
             settled_plan = report.plan.clone().map(|p| (report.iterations, p));
         }
         // The (possibly repaired) plan is final only now.
@@ -1568,6 +1646,10 @@ pub struct ServeOutcome {
     pub promoted_regions: Vec<(NodeId, NodeId, f64)>,
     /// Aggregated contract-lifecycle counters (zeros with the lifecycle off).
     pub contracts: ContractStats,
+    /// Sellers that never answered their last RFB (even after retries) and
+    /// were traded around, as the buyer knew them when the run drained. A
+    /// seller that answers any later round is removed.
+    pub unreachable_sellers: Vec<NodeId>,
 }
 
 /// Serve `arrivals` — `(virtual arrival time, query)` pairs, arrival times
@@ -1598,77 +1680,223 @@ pub fn run_qt_serve_with_faults(
     buyer_node: NodeId,
     dict: Arc<SchemaDict>,
     arrivals: Vec<(f64, Query)>,
-    mut sellers: BTreeMap<NodeId, SellerEngine>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
     config: &QtConfig,
     serve: &ServeConfig,
     faults: Option<FaultPlan>,
 ) -> ServeOutcome {
-    assert!(serve.concurrency >= 1, "concurrency must be at least 1");
-    let n = arrivals.len();
-    let config = &calibrated_config(config, serve, &mut sellers);
-    let cache_hits_before: u64 = sellers.values().map(|s| s.cache_hits).sum();
-    let cache_misses_before: u64 = sellers.values().map(|s| s.cache_misses).sum();
-    let local_seller = sellers.remove(&buyer_node);
-    let remote: Vec<NodeId> = sellers.keys().copied().collect();
-    let all_remote = remote.clone();
-    let (tree, children, timeout_scale) = build_hierarchy(buyer_node, &remote, serve, &mut sellers);
-    let buyer_desc: BTreeMap<NodeId, Vec<NodeId>> = children
-        .iter()
-        .map(|&c| (c, tree.seller_descendants(c)))
-        .collect();
-    let mut arrive_times = Vec::with_capacity(n);
-    let mut queries = Vec::with_capacity(n);
-    for (at, q) in arrivals {
-        arrive_times.push(at);
-        queries.push(Some(q));
-    }
-    let manager = SessionManager {
-        node: buyer_node,
+    let topology = Topology::Uniform(config.link);
+    serve_on_sim(
+        buyer_node, dict, arrivals, sellers, config, serve, topology, faults,
+    )
+}
+
+/// [`run_qt_serve_with_faults`] over an arbitrary [`Topology`]. Sellers still
+/// *estimate* delivery with `config.link` — autonomous nodes do not know
+/// where the buyer sits — while actual message transport follows the
+/// topology.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serve_on_sim(
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    topology: Topology,
+    faults: Option<FaultPlan>,
+) -> ServeOutcome {
+    let fed = assemble(
+        buyer_node,
         dict,
-        config: config.clone(),
-        serve: serve.clone(),
-        remote_sellers: remote.clone(),
-        children,
-        child_ads: BTreeMap::new(),
-        timeout_scale,
-        local_seller,
-        queries,
-        arrive_times: arrive_times.clone(),
-        sessions: BTreeMap::new(),
-        waiting: VecDeque::new(),
-        stage: BTreeMap::new(),
-        flush_pending: false,
-        completed: Vec::new(),
-        retries: 0,
-        timeouts_fired: 0,
-        degraded_rounds: 0,
-        unreachable: BTreeSet::new(),
-        lifecycles: BTreeMap::new(),
-        contract_stats: ContractStats::default(),
-        result_cache_hits: 0,
-        result_cache_misses: 0,
-        shed_sessions: 0,
-        shed_retries: 0,
-        promoted: BTreeMap::new(),
-        region_alias: BTreeMap::new(),
-        desc: buyer_desc,
-        flat_retry: BTreeSet::new(),
-        shed_retried: BTreeSet::new(),
-        region_fallbacks: 0,
-        quiesce_sent: false,
-    };
-    let mut sim: Simulator<ServeMsg, ServeNode> = Simulator::new(Topology::Uniform(config.link));
-    let broker_crashes: Vec<qt_net::CrashWindow> = faults
-        .as_ref()
-        .map(|p| p.broker_crashes.clone())
-        .unwrap_or_default();
+        arrivals,
+        sellers,
+        config,
+        serve,
+        faults.as_ref(),
+    );
+    let mut sim: Simulator<ServeMsg, ServeNode> = Simulator::new(topology);
     if let Some(plan) = faults {
         sim.set_fault_plan(plan);
     }
-    sim.add_node(buyer_node, ServeNode::Buyer(Box::new(manager)));
-    for (node, engine) in sellers {
-        sim.add_node(node, ServeNode::Seller(Box::new(engine)));
+    let ids: Vec<NodeId> = fed.nodes.iter().map(|(id, _)| *id).collect();
+    for (id, node) in fed.nodes {
+        sim.add_node(id, node);
     }
+    for (at, node, msg, kind) in fed.boot {
+        sim.inject(at, node, node, msg, kind);
+    }
+    sim.run(100_000_000);
+
+    let metrics = sim.metrics.clone();
+    let tally = Tally::of(ids.iter().filter_map(|&id| Some((id, sim.handler(id)?))));
+    let Some(ServeNode::Buyer(m)) = sim.handler_mut(buyer_node) else {
+        panic!("buyer node is not a session manager");
+    };
+    finish_serve_outcome(m, fed.sessions, fed.cache_before, tally, metrics)
+}
+
+/// [`run_qt_serve`] on the real thread-per-node transport (`qt_net::real`):
+/// the session manager and every seller run on their own OS thread,
+/// connected by bounded channels or loopback TCP per `real`. The handlers
+/// are the exact ones the simulator runs, so per-session plans are
+/// bit-identical to [`run_qt_serve`] under the same configuration. Latency
+/// and makespan figures are **wall clock** — never compare them against the
+/// simulator's virtual-time numbers.
+pub fn run_qt_serve_real(
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    real: qt_net::RealConfig,
+) -> ServeOutcome {
+    run_qt_serve_real_with_faults(
+        buyer_node, dict, arrivals, sellers, config, serve, real, None,
+    )
+}
+
+/// [`run_qt_serve_real`] under a [`FaultPlan`]'s *broker crash windows*. The
+/// thread runtime has no transport fault plane — drop/jitter/partition
+/// entries are ignored — but broker crashes are handler-level control
+/// injections, so the promotion protocol runs identically to
+/// [`run_qt_serve_with_faults`] and promotion outcomes are comparable
+/// across transports. Crash times are virtual: the injector delivers them
+/// at `time * time_scale` wall seconds, like every other injection.
+#[allow(clippy::too_many_arguments)]
+pub fn run_qt_serve_real_with_faults(
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    real: qt_net::RealConfig,
+    faults: Option<FaultPlan>,
+) -> ServeOutcome {
+    let fed = assemble(
+        buyer_node,
+        dict,
+        arrivals,
+        sellers,
+        config,
+        serve,
+        faults.as_ref(),
+    );
+    let mut rt: qt_net::RealRuntime<ServeMsg, ServeNode> = qt_net::RealRuntime::new(real);
+    for (id, node) in fed.nodes {
+        rt.add_node(id, node);
+    }
+    for (at, node, msg, kind) in fed.boot {
+        rt.inject(at, node, node, msg, kind);
+    }
+    // Serving is over when every session completed and (with the lifecycle
+    // on) every contract settled; channel FIFO guarantees trailing awards
+    // and releases are delivered before the shutdown marker.
+    let n = fed.sessions;
+    let mut out = rt.run(
+        buyer_node,
+        |h| matches!(h, ServeNode::Buyer(m) if m.completed.len() == n && m.lifecycles.is_empty()),
+    );
+    let tally = Tally::of(out.handlers.iter().map(|(id, h)| (*id, h)));
+    let m = out
+        .handlers
+        .iter_mut()
+        .find_map(|(_, h)| match h {
+            ServeNode::Buyer(m) => Some(m),
+            _ => None,
+        })
+        .expect("session manager returned");
+    finish_serve_outcome(m, n, fed.cache_before, tally, out.metrics)
+}
+
+/// A serving federation ready to boot: every node's handler plus the
+/// self-injections that start it. Each runtime replays both lists, in
+/// order, through its own `add_node`/`inject`.
+struct Assembly {
+    /// Buyer, sellers (ascending), then each broker followed by its standby.
+    nodes: Vec<(NodeId, ServeNode)>,
+    /// `(time, node, message, kind)` in injection order: boot and
+    /// `advertise_at` advertisement ticks, standby probe boots, broker
+    /// crash/restart control, then the arrivals. Boot advertisements precede
+    /// any arrival of the same instant; a crashed-from-boot node's tick is
+    /// dropped at delivery, so it joins only when a later `advertise_at`
+    /// tick lands post-recovery.
+    boot: Vec<(f64, NodeId, ServeMsg, &'static str)>,
+    /// Sessions the run must complete.
+    sessions: usize,
+    /// Seller offer-cache `(hits, misses)` before the run.
+    cache_before: (u64, u64),
+}
+
+fn assemble(
+    buyer_node: NodeId,
+    dict: Arc<SchemaDict>,
+    arrivals: Vec<(f64, Query)>,
+    mut sellers: BTreeMap<NodeId, SellerEngine>,
+    config: &QtConfig,
+    serve: &ServeConfig,
+    faults: Option<&FaultPlan>,
+) -> Assembly {
+    assert!(serve.concurrency >= 1, "concurrency must be at least 1");
+    let config = calibrated_config(config, serve, &mut sellers);
+    let cache_before = (
+        sellers.values().map(|s| s.cache_hits).sum(),
+        sellers.values().map(|s| s.cache_misses).sum(),
+    );
+    let local_seller = sellers.remove(&buyer_node);
+    let remote: Vec<NodeId> = sellers.keys().copied().collect();
+    let tree = build_hierarchy(buyer_node, &remote, serve, &mut sellers);
+
+    let mut boot = Vec::new();
+    if let Some(h) = serve.hierarchy.as_ref() {
+        boot.extend(remote.iter().map(|&s| (0.0, s, ServeMsg::AdTick, "ad")));
+        boot.extend(
+            h.advertise_at
+                .iter()
+                .map(|&(t, node)| (t, node, ServeMsg::AdTick, "ad")),
+        );
+        // The standby probe chains (failover only; the tick is a local
+        // control event, subtracted from the message totals).
+        boot.extend(
+            tree.brokers
+                .iter()
+                .filter_map(|spec| spec.standby)
+                .map(|sb| (0.0, sb, ServeMsg::BrokerLeaseTick, "boot")),
+        );
+    }
+    // Broker crash windows become handler-level control injections, so
+    // the sim and the thread runtime run the exact same promotion
+    // protocol.
+    for w in faults.iter().flat_map(|p| &p.broker_crashes) {
+        boot.push((w.from, w.node, ServeMsg::Crash, "fault"));
+        if w.until.is_finite() {
+            boot.push((w.until, w.node, ServeMsg::Restart, "fault"));
+        }
+    }
+    boot.extend(arrivals.iter().enumerate().map(|(i, &(at, _))| {
+        let session = SessionId(i as u64);
+        (at, buyer_node, ServeMsg::Arrive { session }, "arrive")
+    }));
+
+    let sessions = arrivals.len();
+    let manager = SessionManager::new(
+        buyer_node,
+        dict,
+        config.clone(),
+        serve.clone(),
+        local_seller,
+        remote,
+        &tree,
+        arrivals,
+    );
+    let mut nodes = vec![(buyer_node, ServeNode::Buyer(Box::new(manager)))];
+    nodes.extend(
+        sellers
+            .into_iter()
+            .map(|(node, engine)| (node, ServeNode::Seller(Box::new(engine)))),
+    );
     for spec in &tree.brokers {
         let desc: BTreeMap<NodeId, Vec<NodeId>> = spec
             .children
@@ -1678,98 +1906,19 @@ pub fn run_qt_serve_with_faults(
         let hier = serve.hierarchy.clone().expect("brokers imply hierarchy");
         let mut primary = BrokerNode::new(spec, desc.clone(), config.clone(), hier.clone());
         primary.set_parent_standby(tree.standby_of(spec.parent));
-        sim.add_node(spec.node, ServeNode::Broker(Box::new(primary)));
+        nodes.push((spec.node, ServeNode::Broker(Box::new(primary))));
         if let Some(sb) = spec.standby {
             let mut standby = BrokerNode::new_standby(spec, desc, config.clone(), hier);
             standby.set_parent_standby(tree.standby_of(spec.parent));
-            sim.add_node(sb, ServeNode::Broker(Box::new(standby)));
+            nodes.push((sb, ServeNode::Broker(Box::new(standby))));
         }
     }
-    if let Some(h) = serve.hierarchy.as_ref() {
-        // Boot advertisements, before any arrival of the same instant: a
-        // crashed-from-boot node's tick is dropped at delivery, so it joins
-        // only when a later `advertise_at` tick lands post-recovery.
-        for &s in &remote {
-            sim.inject(0.0, s, s, ServeMsg::AdTick, "ad");
-        }
-        for &(t, node) in &h.advertise_at {
-            sim.inject(t, node, node, ServeMsg::AdTick, "ad");
-        }
-        if h.failover {
-            // Boot the standby probe chains (the tick itself is a local
-            // control event, subtracted from the message totals).
-            for spec in &tree.brokers {
-                if let Some(sb) = spec.standby {
-                    sim.inject(0.0, sb, sb, ServeMsg::BrokerLeaseTick, "boot");
-                }
-            }
-        }
+    Assembly {
+        nodes,
+        boot,
+        sessions,
+        cache_before,
     }
-    // Broker crash windows become handler-level control injections, so the
-    // sim and the thread runtime run the exact same promotion protocol.
-    for w in &broker_crashes {
-        sim.inject(w.from, w.node, w.node, ServeMsg::Crash, "fault");
-        if w.until.is_finite() {
-            sim.inject(w.until, w.node, w.node, ServeMsg::Restart, "fault");
-        }
-    }
-    for (i, &at) in arrive_times.iter().enumerate() {
-        sim.inject(
-            at,
-            buyer_node,
-            buyer_node,
-            ServeMsg::Arrive {
-                session: SessionId(i as u64),
-            },
-            "arrive",
-        );
-    }
-    sim.run(100_000_000);
-
-    let metrics = sim.metrics.clone();
-    let mut seller_effort = 0u64;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    for node in &all_remote {
-        if let Some(ServeNode::Seller(e)) = sim.handler(*node) {
-            seller_effort += e.total_effort;
-            cache_hits += e.cache_hits;
-            cache_misses += e.cache_misses;
-        }
-    }
-    let mut promotions = 0u64;
-    let mut promoted_regions: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for spec in &tree.brokers {
-        if let Some(sb) = spec.standby {
-            if let Some(ServeNode::Broker(b)) = sim.handler(sb) {
-                if b.promotions > 0 {
-                    promotions += b.promotions;
-                    promoted_regions.push((
-                        b.promoted_from
-                            .expect("promoted standby records its primary"),
-                        sb,
-                        b.promoted_at.unwrap_or(0.0),
-                    ));
-                }
-            }
-        }
-    }
-    promoted_regions.sort_by_key(|a| (a.0, a.1));
-    let Some(ServeNode::Buyer(m)) = sim.handler_mut(buyer_node) else {
-        panic!("buyer node is not a session manager");
-    };
-    finish_serve_outcome(
-        m,
-        n,
-        seller_effort,
-        cache_hits,
-        cache_misses,
-        cache_hits_before,
-        cache_misses_before,
-        metrics,
-        promotions,
-        promoted_regions,
-    )
 }
 
 /// Apply the calibration snapshot (see [`crate::calib`]): when
@@ -1796,20 +1945,20 @@ fn calibrated_config(
 
 /// Build the broker tree of a hierarchy run and point every remote seller
 /// at its broker (or straight at the buyer when the federation fits the
-/// fanout). Returns `(tree, buyer children, RFB deadline scale)`; flat
-/// serving gets an empty tree, every remote seller as a child, scale 1.
+/// fanout). Flat serving gets the degenerate tree: no brokers, every remote
+/// seller a root child, depth 1.
 fn build_hierarchy(
     buyer_node: NodeId,
     remote: &[NodeId],
     serve: &ServeConfig,
     sellers: &mut BTreeMap<NodeId, SellerEngine>,
-) -> (crate::discovery::BrokerTree, Vec<NodeId>, f64) {
+) -> crate::discovery::BrokerTree {
     let Some(h) = serve.hierarchy.as_ref() else {
-        return (
-            crate::discovery::BrokerTree::default(),
-            remote.to_vec(),
-            1.0,
-        );
+        return crate::discovery::BrokerTree {
+            brokers: Vec::new(),
+            root_children: remote.to_vec(),
+            depth: 1,
+        };
     };
     let first_broker = remote
         .iter()
@@ -1833,26 +1982,60 @@ fn build_hierarchy(
         e.advertise_cc = tree.standby_of(parent);
         e.readvertise_interval = h.readvertise_interval;
     }
-    let children = tree.root_children.clone();
-    let scale = tree.depth as f64;
-    (tree, children, scale)
+    tree
+}
+
+/// Counters read off the seller and broker nodes once a run has drained.
+#[derive(Default)]
+struct Tally {
+    seller_effort: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    promotions: u64,
+    promoted_regions: Vec<(NodeId, NodeId, f64)>,
+}
+
+impl Tally {
+    fn of<'a>(nodes: impl Iterator<Item = (NodeId, &'a ServeNode)>) -> Tally {
+        let mut t = Tally::default();
+        for (node, handler) in nodes {
+            match handler {
+                ServeNode::Seller(e) => {
+                    t.seller_effort += e.total_effort;
+                    t.cache_hits += e.cache_hits;
+                    t.cache_misses += e.cache_misses;
+                }
+                // The buyer's local seller is added by `finish_serve_outcome`.
+                ServeNode::Buyer(_) => {}
+                // Brokers hold routing state only; the buyer's shed counter
+                // is the authoritative one. Promotion bookkeeping lives on
+                // the standbys, though.
+                ServeNode::Broker(b) if b.promotions > 0 => {
+                    t.promotions += b.promotions;
+                    t.promoted_regions.push((
+                        b.promoted_from
+                            .expect("promoted standby records its primary"),
+                        node,
+                        b.promoted_at.unwrap_or(0.0),
+                    ));
+                }
+                ServeNode::Broker(_) => {}
+            }
+        }
+        t.promoted_regions.sort_by_key(|a| (a.0, a.1));
+        t
+    }
 }
 
 /// Shared post-processing for the simulator and real-transport serving
-/// drivers: fold the manager's state and seller counters into a
+/// runners: fold the manager's state and the node counters into a
 /// [`ServeOutcome`], patching the driver-filled fields of `metrics`.
-#[allow(clippy::too_many_arguments)]
 fn finish_serve_outcome(
     m: &mut SessionManager,
     n: usize,
-    mut seller_effort: u64,
-    mut cache_hits: u64,
-    mut cache_misses: u64,
-    cache_hits_before: u64,
-    cache_misses_before: u64,
+    cache_before: (u64, u64),
+    mut tally: Tally,
     mut metrics: qt_net::Metrics,
-    promotions: u64,
-    promoted_regions: Vec<(NodeId, NodeId, f64)>,
 ) -> ServeOutcome {
     assert_eq!(m.completed.len(), n, "run drained with sessions unfinished");
     assert!(
@@ -1868,12 +2051,12 @@ fn finish_serve_outcome(
         "run drained with per-session state still held"
     );
     if let Some(local) = &m.local_seller {
-        seller_effort += local.total_effort;
-        cache_hits += local.cache_hits;
-        cache_misses += local.cache_misses;
+        tally.seller_effort += local.total_effort;
+        tally.cache_hits += local.cache_hits;
+        tally.cache_misses += local.cache_misses;
     }
-    metrics.offer_cache_hits = cache_hits - cache_hits_before;
-    metrics.offer_cache_misses = cache_misses - cache_misses_before;
+    metrics.offer_cache_hits = tally.cache_hits - cache_before.0;
+    metrics.offer_cache_misses = tally.cache_misses - cache_before.1;
     metrics.retries = m.retries;
     metrics.timeouts = m.timeouts_fired;
     metrics.degraded_rounds = m.degraded_rounds;
@@ -1926,7 +2109,7 @@ fn finish_serve_outcome(
         } else {
             0.0
         },
-        seller_effort,
+        seller_effort: tally.seller_effort,
         offer_cache_hits: metrics.offer_cache_hits,
         offer_cache_misses: metrics.offer_cache_misses,
         result_cache_hits: m.result_cache_hits,
@@ -1934,216 +2117,14 @@ fn finish_serve_outcome(
         shed_sessions: m.shed_sessions,
         shed_retries: m.shed_retries,
         region_fallbacks: m.region_fallbacks,
-        promotions,
-        promoted_regions,
+        promotions: tally.promotions,
+        promoted_regions: tally.promoted_regions,
         contracts,
+        unreachable_sellers: m.unreachable.iter().copied().collect(),
         makespan,
         reports,
         metrics,
     }
-}
-
-/// [`run_qt_serve`] on the real thread-per-node transport (`qt_net::real`):
-/// the session manager and every seller run on their own OS thread,
-/// connected by bounded channels or loopback TCP per `real`. The handlers
-/// are the exact ones the simulator runs, so per-session plans are
-/// bit-identical to [`run_qt_serve`] under the same configuration. Latency
-/// and makespan figures are **wall clock** — never compare them against the
-/// simulator's virtual-time numbers.
-pub fn run_qt_serve_real(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    arrivals: Vec<(f64, Query)>,
-    sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-    serve: &ServeConfig,
-    real: qt_net::RealConfig,
-) -> ServeOutcome {
-    run_qt_serve_real_with_faults(
-        buyer_node, dict, arrivals, sellers, config, serve, real, None,
-    )
-}
-
-/// [`run_qt_serve_real`] under a [`FaultPlan`]'s *broker crash windows*. The
-/// thread runtime has no transport fault plane — drop/jitter/partition
-/// entries are ignored — but broker crashes are handler-level control
-/// injections, so the promotion protocol runs identically to
-/// [`run_qt_serve_with_faults`] and promotion outcomes are comparable
-/// across transports. Crash times are virtual: the injector delivers them
-/// at `time * time_scale` wall seconds, like every other injection.
-#[allow(clippy::too_many_arguments)]
-pub fn run_qt_serve_real_with_faults(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    arrivals: Vec<(f64, Query)>,
-    mut sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-    serve: &ServeConfig,
-    real: qt_net::RealConfig,
-    faults: Option<FaultPlan>,
-) -> ServeOutcome {
-    assert!(serve.concurrency >= 1, "concurrency must be at least 1");
-    let n = arrivals.len();
-    let broker_crashes: Vec<qt_net::CrashWindow> = faults
-        .as_ref()
-        .map(|p| p.broker_crashes.clone())
-        .unwrap_or_default();
-    let config = &calibrated_config(config, serve, &mut sellers);
-    let cache_hits_before: u64 = sellers.values().map(|s| s.cache_hits).sum();
-    let cache_misses_before: u64 = sellers.values().map(|s| s.cache_misses).sum();
-    let local_seller = sellers.remove(&buyer_node);
-    let remote: Vec<NodeId> = sellers.keys().copied().collect();
-    let (tree, children, timeout_scale) = build_hierarchy(buyer_node, &remote, serve, &mut sellers);
-    let buyer_desc: BTreeMap<NodeId, Vec<NodeId>> = children
-        .iter()
-        .map(|&c| (c, tree.seller_descendants(c)))
-        .collect();
-    let mut arrive_times = Vec::with_capacity(n);
-    let mut queries = Vec::with_capacity(n);
-    for (at, q) in arrivals {
-        arrive_times.push(at);
-        queries.push(Some(q));
-    }
-    let manager = SessionManager {
-        node: buyer_node,
-        dict,
-        config: config.clone(),
-        serve: serve.clone(),
-        remote_sellers: remote.clone(),
-        children,
-        child_ads: BTreeMap::new(),
-        timeout_scale,
-        local_seller,
-        queries,
-        arrive_times: arrive_times.clone(),
-        sessions: BTreeMap::new(),
-        waiting: VecDeque::new(),
-        stage: BTreeMap::new(),
-        flush_pending: false,
-        completed: Vec::new(),
-        retries: 0,
-        timeouts_fired: 0,
-        degraded_rounds: 0,
-        unreachable: BTreeSet::new(),
-        lifecycles: BTreeMap::new(),
-        contract_stats: ContractStats::default(),
-        result_cache_hits: 0,
-        result_cache_misses: 0,
-        shed_sessions: 0,
-        shed_retries: 0,
-        promoted: BTreeMap::new(),
-        region_alias: BTreeMap::new(),
-        desc: buyer_desc,
-        flat_retry: BTreeSet::new(),
-        shed_retried: BTreeSet::new(),
-        region_fallbacks: 0,
-        quiesce_sent: false,
-    };
-    let mut rt: qt_net::RealRuntime<ServeMsg, ServeNode> = qt_net::RealRuntime::new(real);
-    rt.add_node(buyer_node, ServeNode::Buyer(Box::new(manager)));
-    for (node, engine) in sellers {
-        rt.add_node(node, ServeNode::Seller(Box::new(engine)));
-    }
-    for spec in &tree.brokers {
-        let desc: BTreeMap<NodeId, Vec<NodeId>> = spec
-            .children
-            .iter()
-            .map(|&c| (c, tree.seller_descendants(c)))
-            .collect();
-        let hier = serve.hierarchy.clone().expect("brokers imply hierarchy");
-        let mut primary = BrokerNode::new(spec, desc.clone(), config.clone(), hier.clone());
-        primary.set_parent_standby(tree.standby_of(spec.parent));
-        rt.add_node(spec.node, ServeNode::Broker(Box::new(primary)));
-        if let Some(sb) = spec.standby {
-            let mut standby = BrokerNode::new_standby(spec, desc, config.clone(), hier);
-            standby.set_parent_standby(tree.standby_of(spec.parent));
-            rt.add_node(sb, ServeNode::Broker(Box::new(standby)));
-        }
-    }
-    if let Some(h) = serve.hierarchy.as_ref() {
-        for &s in &remote {
-            rt.inject(0.0, s, s, ServeMsg::AdTick, "ad");
-        }
-        for &(t, node) in &h.advertise_at {
-            rt.inject(t, node, node, ServeMsg::AdTick, "ad");
-        }
-        if h.failover {
-            for spec in &tree.brokers {
-                if let Some(sb) = spec.standby {
-                    rt.inject(0.0, sb, sb, ServeMsg::BrokerLeaseTick, "boot");
-                }
-            }
-        }
-    }
-    for w in &broker_crashes {
-        rt.inject(w.from, w.node, w.node, ServeMsg::Crash, "fault");
-        if w.until.is_finite() {
-            rt.inject(w.until, w.node, w.node, ServeMsg::Restart, "fault");
-        }
-    }
-    for (i, &at) in arrive_times.iter().enumerate() {
-        rt.inject(
-            at,
-            buyer_node,
-            buyer_node,
-            ServeMsg::Arrive {
-                session: SessionId(i as u64),
-            },
-            "arrive",
-        );
-    }
-    // Serving is over when every session completed and (with the lifecycle
-    // on) every contract settled; channel FIFO guarantees trailing awards
-    // and releases are delivered before the shutdown marker.
-    let out = rt.run(
-        buyer_node,
-        |h| matches!(h, ServeNode::Buyer(m) if m.completed.len() == n && m.lifecycles.is_empty()),
-    );
-    let metrics = out.metrics;
-    let mut seller_effort = 0u64;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut manager_back = None;
-    let mut promotions = 0u64;
-    let mut promoted_regions: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for (node, handler) in out.handlers {
-        match handler {
-            ServeNode::Seller(e) => {
-                seller_effort += e.total_effort;
-                cache_hits += e.cache_hits;
-                cache_misses += e.cache_misses;
-            }
-            ServeNode::Buyer(m) => manager_back = Some(m),
-            // Brokers hold routing state only; the buyer's shed counter is
-            // the authoritative one. Promotion bookkeeping lives on the
-            // standbys, though.
-            ServeNode::Broker(b) => {
-                if b.promotions > 0 {
-                    promotions += b.promotions;
-                    promoted_regions.push((
-                        b.promoted_from
-                            .expect("promoted standby records its primary"),
-                        node,
-                        b.promoted_at.unwrap_or(0.0),
-                    ));
-                }
-            }
-        }
-    }
-    promoted_regions.sort_by_key(|a| (a.0, a.1));
-    let mut m = manager_back.expect("session manager returned");
-    finish_serve_outcome(
-        &mut m,
-        n,
-        seller_effort,
-        cache_hits,
-        cache_misses,
-        cache_hits_before,
-        cache_misses_before,
-        metrics,
-        promotions,
-        promoted_regions,
-    )
 }
 
 #[cfg(test)]

@@ -4,12 +4,10 @@
 //! [`qt_trade::wire`]; this module supplies the query-algebra helpers (the
 //! coherence rules keep `qt-core` from implementing a `qt-trade` trait for
 //! `qt-query` types, so those go through free `put_*`/`get_*` functions)
-//! and the [`Wire`] impls for the two protocol message enums, [`QtMsg`] and
-//! [`ServeMsg`]. With these, the real transport can carry every protocol
-//! message over TCP byte-identically to what the in-process channels move
-//! by ownership.
+//! and the [`Wire`] impl for the protocol message enum, [`ServeMsg`]. With
+//! these, the real transport can carry every protocol message over TCP
+//! byte-identically to what the in-process channels move by ownership.
 
-use crate::driver::QtMsg;
 use crate::offer::{Offer, OfferKind, RfbItem};
 use crate::seller::SessionRfb;
 use crate::session::ServeMsg;
@@ -297,103 +295,6 @@ impl Wire for SessionRfb {
             priority: r.u8()?,
             items: Arc::<Vec<RfbItem>>::get(r)?,
             hints: Arc::<Vec<Offer>>::get(r)?,
-        })
-    }
-}
-
-impl Wire for QtMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            QtMsg::Start => put_u8(out, 0),
-            QtMsg::Rfb {
-                req,
-                round,
-                items,
-                hints,
-            } => {
-                put_u8(out, 1);
-                put_u64(out, *req);
-                put_u32(out, *round);
-                items.put(out);
-                hints.put(out);
-            }
-            QtMsg::Offers { round, offers } => {
-                put_u8(out, 2);
-                put_u32(out, *round);
-                offers.put(out);
-            }
-            QtMsg::Timeout { round } => {
-                put_u8(out, 3);
-                put_u32(out, *round);
-            }
-            QtMsg::Negotiate => put_u8(out, 4),
-            QtMsg::Award { contract, offer } => {
-                put_u8(out, 5);
-                put_u64(out, *contract);
-                put_u64(out, *offer);
-            }
-            QtMsg::AwardAck { contract } => {
-                put_u8(out, 6);
-                put_u64(out, *contract);
-            }
-            QtMsg::AwardDecline { contract } => {
-                put_u8(out, 7);
-                put_u64(out, *contract);
-            }
-            QtMsg::Lease { contract } => {
-                put_u8(out, 8);
-                put_u64(out, *contract);
-            }
-            QtMsg::LeaseAck { contract } => {
-                put_u8(out, 9);
-                put_u64(out, *contract);
-            }
-            QtMsg::Release { contract } => {
-                put_u8(out, 10);
-                put_u64(out, *contract);
-            }
-            QtMsg::AwardTimeout { contract } => {
-                put_u8(out, 11);
-                put_u64(out, *contract);
-            }
-            QtMsg::LeaseTick { contract } => {
-                put_u8(out, 12);
-                put_u64(out, *contract);
-            }
-            QtMsg::RetradeTimeout { round } => {
-                put_u8(out, 13);
-                put_u32(out, *round);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => QtMsg::Start,
-            1 => QtMsg::Rfb {
-                req: r.u64()?,
-                round: r.u32()?,
-                items: Arc::<Vec<RfbItem>>::get(r)?,
-                hints: Arc::<Vec<Offer>>::get(r)?,
-            },
-            2 => QtMsg::Offers {
-                round: r.u32()?,
-                offers: Vec::<Offer>::get(r)?,
-            },
-            3 => QtMsg::Timeout { round: r.u32()? },
-            4 => QtMsg::Negotiate,
-            5 => QtMsg::Award {
-                contract: r.u64()?,
-                offer: r.u64()?,
-            },
-            6 => QtMsg::AwardAck { contract: r.u64()? },
-            7 => QtMsg::AwardDecline { contract: r.u64()? },
-            8 => QtMsg::Lease { contract: r.u64()? },
-            9 => QtMsg::LeaseAck { contract: r.u64()? },
-            10 => QtMsg::Release { contract: r.u64()? },
-            11 => QtMsg::AwardTimeout { contract: r.u64()? },
-            12 => QtMsg::LeaseTick { contract: r.u64()? },
-            13 => QtMsg::RetradeTimeout { round: r.u32()? },
-            t => return Err(WireError::BadTag("QtMsg", t)),
         })
     }
 }
@@ -763,47 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn every_qt_msg_variant_roundtrips() {
-        let variants = vec![
-            QtMsg::Start,
-            QtMsg::Rfb {
-                req: 3,
-                round: 3,
-                items: Arc::new(vec![RfbItem {
-                    query: sample_query(),
-                    ref_value: 2.0,
-                }]),
-                hints: Arc::new(vec![sample_offer(1)]),
-            },
-            QtMsg::Offers {
-                round: 1,
-                offers: vec![sample_offer(2), sample_offer(3)],
-            },
-            QtMsg::Timeout { round: 4 },
-            QtMsg::Negotiate,
-            QtMsg::Award {
-                contract: 12,
-                offer: 99,
-            },
-            QtMsg::AwardAck { contract: 12 },
-            QtMsg::AwardDecline { contract: 12 },
-            QtMsg::Lease { contract: 12 },
-            QtMsg::LeaseAck { contract: 12 },
-            QtMsg::Release { contract: 12 },
-            QtMsg::AwardTimeout { contract: 12 },
-            QtMsg::LeaseTick { contract: 12 },
-            QtMsg::RetradeTimeout { round: 5 },
-        ];
-        for v in &variants {
-            roundtrip(v);
-        }
-        assert!(matches!(
-            QtMsg::decode(&[200]),
-            Err(WireError::BadTag("QtMsg", 200))
-        ));
-    }
-
-    #[test]
     fn every_serve_msg_variant_roundtrips() {
         let s = SessionId(6);
         let entry = SessionRfb {
@@ -922,7 +782,6 @@ mod tests {
                     (x >> 56) as u8
                 })
                 .collect();
-            let _ = QtMsg::decode(&bytes);
             let _ = ServeMsg::decode(&bytes);
             let _ = Offer::decode(&bytes);
             let mut r = Reader::new(&bytes);

@@ -3,11 +3,13 @@
 //! 1. **Scoped == flat.** With exact digests and subcontracting off,
 //!    digest-scoped RFB routing is *lossless*: plans, cost bits, offer ids
 //!    and iteration counts are bit-identical to full broadcast, while the
-//!    message count can only shrink. (A digest can over-route — hash
+//!    trading message count can only shrink. (A digest can over-route — hash
 //!    collisions — but never under-route, so no winning offer is lost.)
-//! 2. **Drift degrades, re-advertisement restores.** Stale ads may route a
-//!    round away from a seller whose catalog grew; the buyer still plans
-//!    from whoever answered (equal-or-worse cost, possibly no plan), and
+//!    Exercised on a hierarchy whose fanout fits every seller directly under
+//!    the buyer: no brokers, the buyer's own advertisement table scopes.
+//! 2. **Drift degrades, re-advertisement restores.** A seller the buyer
+//!    holds no advertisement for draws no RFBs; the buyer still plans from
+//!    whoever answered (equal-or-worse cost, possibly no plan), and
 //!    re-advertising restores flat equality exactly.
 //! 3. **Hierarchy k=0 == flat serve.** A lossless broker tier between buyer
 //!    and sellers reproduces every session's plan and cost bits while
@@ -22,10 +24,10 @@
 use proptest::prelude::*;
 use qt_catalog::NodeId;
 use qt_core::{
-    query_digest, run_qt_serve, run_qt_serve_with_faults, run_qt_sim_with_discovery, seller_digest,
-    HierarchyConfig, QtConfig, QtOutcome, SellerEngine, ServeConfig, ServeOutcome,
+    query_digest, run_qt_serve, run_qt_serve_with_faults, seller_digest, HierarchyConfig, QtConfig,
+    SellerEngine, ServeConfig, ServeOutcome,
 };
-use qt_net::{FaultPlan, Topology};
+use qt_net::FaultPlan;
 use qt_query::Query;
 use qt_workload::{
     build_federation, gen_arrivals, gen_join_query, synthetic_mix, ArrivalSpec, Federation,
@@ -62,35 +64,53 @@ fn engines(fed: &Federation, cfg: &QtConfig) -> BTreeMap<NodeId, SellerEngine> {
         .collect()
 }
 
-/// Everything routing must not perturb.
-fn trade_digest(out: &QtOutcome) -> (String, u64, u32) {
+/// Everything routing must not perturb, for a one-query run.
+fn trade_digest(out: &ServeOutcome) -> (String, u64, u32) {
+    let r = &out.reports[0];
     (
-        format!("{:?}", out.plan),
-        out.plan
+        format!("{:?}", r.plan),
+        r.plan
             .as_ref()
             .map(|p| p.est.additive_cost.to_bits())
             .unwrap_or(0),
-        out.iterations,
+        r.iterations,
     )
 }
 
-fn sim(
+/// Per-query trading traffic. Advertisements are a one-off boot cost shared
+/// by every query the federation ever serves, not part of a query's trade.
+fn trading_messages(out: &ServeOutcome) -> u64 {
+    out.messages - out.metrics.kind_count("advertise")
+}
+
+/// A hierarchy that fits every seller directly under the buyer: no brokers
+/// are built, and the buyer scopes each round by its children's advertised
+/// digests.
+fn seller_scoped(fed: &Federation) -> HierarchyConfig {
+    hier(fed.catalog.nodes.len())
+}
+
+/// Trade `q` alone, flat (`hierarchy: None`) or scoped. The arrival is
+/// offset past t=0 so the boot advertisements land before the first RFB.
+fn trade(
     fed: &Federation,
     q: &Query,
-    cfg: &QtConfig,
-    ads: Option<BTreeMap<NodeId, u64>>,
-) -> QtOutcome {
-    run_qt_sim_with_discovery(
+    hierarchy: Option<HierarchyConfig>,
+    faults: Option<FaultPlan>,
+) -> ServeOutcome {
+    let cfg = QtConfig::default();
+    run_qt_serve_with_faults(
         NodeId(0),
         fed.catalog.dict.clone(),
-        q,
-        engines(fed, cfg),
-        cfg,
-        Topology::Uniform(cfg.link),
-        None,
-        ads,
+        vec![(5.0, q.clone())],
+        engines(fed, &cfg),
+        &cfg,
+        &ServeConfig {
+            hierarchy,
+            ..ServeConfig::default()
+        },
+        faults,
     )
-    .0
 }
 
 proptest! {
@@ -107,17 +127,15 @@ proptest! {
     ) {
         let fed = build_federation(&spec(nodes, seed));
         let q = gen_join_query(&fed.catalog.dict, shape, rels, true, seed);
-        let flat_cfg = QtConfig::default();
-        let scoped_cfg = QtConfig { enable_discovery: true, ..QtConfig::default() };
-        prop_assert!(!scoped_cfg.enable_subcontracting);
-        let flat = sim(&fed, &q, &flat_cfg, None);
-        let scoped = sim(&fed, &q, &scoped_cfg, None);
+        prop_assert!(!QtConfig::default().enable_subcontracting);
+        let flat = trade(&fed, &q, None, None);
+        let scoped = trade(&fed, &q, Some(seller_scoped(&fed)), None);
         prop_assert_eq!(trade_digest(&flat), trade_digest(&scoped));
         prop_assert!(
-            scoped.messages <= flat.messages,
+            trading_messages(&scoped) <= trading_messages(&flat),
             "scoping must not add traffic: {} > {}",
-            scoped.messages,
-            flat.messages
+            trading_messages(&scoped),
+            trading_messages(&flat)
         );
     }
 }
@@ -162,15 +180,10 @@ proptest! {
                 );
             }
         }
-        let flat = sim(&fed, &q, &cfg, None);
-        let scoped = sim(
-            &fed,
-            &q,
-            &QtConfig { enable_discovery: true, ..QtConfig::default() },
-            None,
-        );
+        let flat = trade(&fed, &q, None, None);
+        let scoped = trade(&fed, &q, Some(seller_scoped(&fed)), None);
         prop_assert_eq!(trade_digest(&flat), trade_digest(&scoped));
-        prop_assert!(scoped.messages <= flat.messages);
+        prop_assert!(trading_messages(&scoped) <= trading_messages(&flat));
     }
 }
 
@@ -192,22 +205,14 @@ fn scoping_drops_messages_for_disjoint_sellers() {
     if disjoint == 0 {
         return; // layout happens to cover everyone; nothing to assert
     }
-    let flat = sim(&fed, &q, &cfg, None);
-    let scoped = sim(
-        &fed,
-        &q,
-        &QtConfig {
-            enable_discovery: true,
-            ..QtConfig::default()
-        },
-        None,
-    );
+    let flat = trade(&fed, &q, None, None);
+    let scoped = trade(&fed, &q, Some(seller_scoped(&fed)), None);
     assert_eq!(trade_digest(&flat), trade_digest(&scoped));
     assert!(
-        scoped.messages < flat.messages,
+        trading_messages(&scoped) < trading_messages(&flat),
         "{disjoint} disjoint sellers must save traffic ({} vs {})",
-        scoped.messages,
-        flat.messages
+        trading_messages(&scoped),
+        trading_messages(&flat)
     );
 }
 
@@ -215,29 +220,40 @@ fn scoping_drops_messages_for_disjoint_sellers() {
 fn stale_ads_degrade_and_readvertisement_restores_equality() {
     let fed = build_federation(&spec(8, 7));
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 7);
-    let flat_cfg = QtConfig::default();
-    let scoped_cfg = QtConfig {
-        enable_discovery: true,
-        ..QtConfig::default()
-    };
-    let flat = sim(&fed, &q, &flat_cfg, None);
-    let flat_cost = flat
+    let flat = trade(&fed, &q, None, None);
+    let flat_cost = flat.reports[0]
         .plan
         .as_ref()
         .expect("flat run must plan")
         .est
         .additive_cost;
 
-    // Drifted catalog: half the federation advertised before it held
-    // anything relevant (digest 0). Those sellers draw no RFBs, so the
-    // buyer can only do as well or worse — never better, never wrong.
-    let stale: BTreeMap<NodeId, u64> = engines(&fed, &scoped_cfg)
+    // Drifted catalog: half the federation was down while the boot
+    // advertisements went out, so the buyer holds no digest for it — and
+    // advertisement is membership. Those sellers are back long before the
+    // query arrives but draw no RFBs, so the buyer can only do as well or
+    // worse — never better, never wrong.
+    let stale: Vec<NodeId> = fed
+        .catalog
+        .nodes
         .iter()
-        .filter(|(&n, _)| n != NodeId(0))
-        .map(|(&n, e)| (n, if n.0 % 2 == 0 { 0 } else { seller_digest(e) }))
+        .copied()
+        .filter(|n| n.0 != 0 && n.0 % 2 == 0)
         .collect();
-    let drifted = sim(&fed, &q, &scoped_cfg, Some(stale));
-    if let Some(p) = &drifted.plan {
+    let down_at_boot = stale
+        .iter()
+        .fold(FaultPlan::default(), |p, &n| p.with_crash(n, 0.0, 2.0));
+    let drifted = trade(
+        &fed,
+        &q,
+        Some(seller_scoped(&fed)),
+        Some(down_at_boot.clone()),
+    );
+    assert!(
+        trading_messages(&drifted) < trading_messages(&flat),
+        "unadvertised sellers must draw no RFBs"
+    );
+    if let Some(p) = &drifted.reports[0].plan {
         assert!(
             p.est.additive_cost >= flat_cost,
             "stale ads cannot beat broadcast: {} < {flat_cost}",
@@ -245,8 +261,12 @@ fn stale_ads_degrade_and_readvertisement_restores_equality() {
         );
     }
 
-    // Re-advertisement (fresh exact digests) restores bit-identity.
-    let fresh = sim(&fed, &q, &scoped_cfg, None);
+    // Re-advertisement after recovery restores bit-identity.
+    let readvertised = HierarchyConfig {
+        advertise_at: stale.iter().map(|&n| (3.0, n)).collect(),
+        ..seller_scoped(&fed)
+    };
+    let fresh = trade(&fed, &q, Some(readvertised), Some(down_at_boot));
     assert_eq!(trade_digest(&flat), trade_digest(&fresh));
 }
 

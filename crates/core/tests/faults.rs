@@ -3,7 +3,7 @@
 //! with an inert plan — be bit-identical to the fault-free driver.
 
 use qt_catalog::NodeId;
-use qt_core::{run_qt_sim_with_faults, run_qt_sim_with_topology, QtConfig, SellerEngine};
+use qt_core::{run_qt_sim_with_faults, QtConfig, SellerEngine};
 use qt_net::{FaultPlan, Metrics, Topology};
 use qt_workload::{build_federation, gen_join_query, Federation, FederationSpec, QueryShape};
 use std::collections::BTreeMap;
@@ -61,13 +61,14 @@ fn inert_fault_plane_is_bit_identical_to_no_plan() {
     let fed = build_federation(&spec(8, 21));
     let cfg = QtConfig::default();
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 21);
-    let baseline = run_qt_sim_with_topology(
+    let baseline = run_qt_sim_with_faults(
         NodeId(0),
         fed.catalog.dict.clone(),
         &q,
         engines(&fed, &cfg),
         &cfg,
         Topology::Uniform(cfg.link),
+        None,
     );
     let with_inert = run_qt_sim_with_faults(
         NodeId(0),
@@ -129,13 +130,14 @@ fn duplicated_deliveries_are_idempotent() {
     let fed = build_federation(&spec(8, 21));
     let cfg = QtConfig::default();
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 21);
-    let clean = run_qt_sim_with_topology(
+    let clean = run_qt_sim_with_faults(
         NodeId(0),
         fed.catalog.dict.clone(),
         &q,
         engines(&fed, &cfg),
         &cfg,
         Topology::Uniform(cfg.link),
+        None,
     );
     let dup = run_qt_sim_with_faults(
         NodeId(0),

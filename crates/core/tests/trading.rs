@@ -774,7 +774,7 @@ fn replanning_from_the_offer_pool_survives_seller_failure() {
 
 #[test]
 fn two_tier_topology_speeds_up_local_markets() {
-    use qt_core::run_qt_sim_with_topology;
+    use qt_core::run_qt_sim_with_faults;
     use qt_net::Topology;
     let (cat, _) = telecom();
     let q = parse_query(
@@ -786,19 +786,20 @@ fn two_tier_topology_speeds_up_local_markets() {
     let cfg = QtConfig::default();
     let wan = {
         let sellers = engines(&cat, &cfg);
-        run_qt_sim_with_topology(
+        run_qt_sim_with_faults(
             NodeId(0),
             cat.dict.clone(),
             &q,
             sellers,
             &cfg,
             Topology::Uniform(cfg.link),
+            None,
         )
         .0
     };
     let lan = {
         let sellers = engines(&cat, &cfg);
-        run_qt_sim_with_topology(
+        run_qt_sim_with_faults(
             NodeId(0),
             cat.dict.clone(),
             &q,
@@ -806,6 +807,7 @@ fn two_tier_topology_speeds_up_local_markets() {
             &cfg,
             // Everyone in one 64-node region.
             Topology::two_tier(64, qt_cost::NetLink::lan(), cfg.link).unwrap(),
+            None,
         )
         .0
     };
