@@ -1,5 +1,6 @@
-//! Criterion micro-benches: local join enumeration (DP vs IDP) at
-//! increasing join counts, and the buyer plan generator.
+//! Criterion micro-benches: local join enumeration (DP vs IDP) and the
+//! modified DP's partial results (§3.4) at increasing join counts, and the
+//! buyer plan generator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qt_catalog::NodeId;
@@ -11,7 +12,7 @@ use qt_workload::{build_federation, gen_join_query, FederationSpec, QueryShape};
 
 fn bench_enumerators(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_optimize");
-    for n in [4usize, 6, 8] {
+    for n in [4usize, 6, 8, 10] {
         let fed = build_federation(&FederationSpec {
             nodes: 1,
             relations: n,
@@ -32,6 +33,13 @@ fn bench_enumerators(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("IDP(2,5)", n), &n, |b, _| {
             let opt = LocalOptimizer::new(&fed.catalog).with_enumerator(JoinEnumerator::idp_2_5());
             b.iter(|| std::hint::black_box(opt.optimize(&q).cost));
+        });
+        // Every ≤ 2-way partial as an offerable result: the seller's
+        // per-RFB hot path.
+        group.bench_with_input(BenchmarkId::new("partial_results", n), &n, |b, _| {
+            let opt = LocalOptimizer::new(&fed.catalog);
+            let spj = q.strip_aggregation();
+            b.iter(|| std::hint::black_box(opt.partial_results(&spj, 2).0.len()));
         });
     }
     group.finish();

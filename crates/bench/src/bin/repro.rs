@@ -1,4 +1,4 @@
-//! Regenerate the evaluation tables/figures.
+//! Regenerate the evaluation tables/figures — and check them.
 //!
 //! ```text
 //! cargo run -p qt-bench --bin repro --release -- all
@@ -6,14 +6,51 @@
 //! cargo run -p qt-bench --bin repro --release -- e21 --transport threads
 //! ```
 //!
-//! Each experiment prints its table and writes `results/<id>.csv`.
+//! Each experiment prints its table and writes `results/<id>.csv`. An
+//! experiment states its invariants as gates over the values it measured
+//! (`Table::gate`); the exit status is non-zero when any gate of any table
+//! run was violated or a CSV could not be written, so running an experiment
+//! *is* checking it.
 //! `--transport {sim,threads,tcp}` restricts the transport-comparison
 //! experiments (E21) to one runtime; the default measures all of them.
 
-use qt_bench::experiments;
+use qt_bench::experiments::{self, Experiment};
 use std::path::Path;
+use std::process::ExitCode;
 
-fn main() {
+/// Run `selected` (already validated against `registry`) in order; true
+/// when every CSV was written and no gate was violated.
+fn run(registry: &[Experiment], selected: &[String], results: &Path) -> bool {
+    let mut ok = true;
+    for sel in selected {
+        let (id, run) = registry
+            .iter()
+            .find(|(id, _)| id == sel)
+            .expect("ids are validated before anything runs");
+        eprintln!("running {id}...");
+        let started = std::time::Instant::now();
+        let table = run();
+        println!("{}", table.render());
+        if !table.violations.is_empty() {
+            eprintln!("{id}: {} gate(s) violated", table.violations.len());
+            ok = false;
+        }
+        match table.write_csv(results) {
+            Ok(path) => eprintln!(
+                "{id} done in {:.1}s → {}",
+                started.elapsed().as_secs_f64(),
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("{id}: failed to write CSV: {e}");
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
+fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--transport") {
         let value = args.get(i + 1).cloned();
@@ -27,40 +64,22 @@ fn main() {
             }
             _ => {
                 eprintln!("--transport needs one of: sim, threads, tcp");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
     }
     let registry = experiments::all();
-    let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        registry.iter().map(|(id, _)| *id).collect()
+    let selected: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
+        registry.iter().map(|(id, _)| id.to_string()).collect()
     } else {
-        args.iter().map(String::as_str).collect()
+        args.iter().map(|a| a.to_ascii_lowercase()).collect()
     };
-    let results = Path::new("results");
-    let mut unknown = Vec::new();
-    for sel in selected {
-        match registry
-            .iter()
-            .find(|(id, _)| *id == sel.to_ascii_lowercase())
-        {
-            Some((id, run)) => {
-                eprintln!("running {id}...");
-                let started = std::time::Instant::now();
-                let table = run();
-                println!("{}", table.render());
-                match table.write_csv(results) {
-                    Ok(path) => eprintln!(
-                        "{id} done in {:.1}s → {}",
-                        started.elapsed().as_secs_f64(),
-                        path.display()
-                    ),
-                    Err(e) => eprintln!("{id}: failed to write CSV: {e}"),
-                }
-            }
-            None => unknown.push(sel.to_string()),
-        }
-    }
+    // Reject a typo before the known ids overwrite their CSVs.
+    let unknown: Vec<&str> = selected
+        .iter()
+        .map(String::as_str)
+        .filter(|sel| registry.iter().all(|(id, _)| id != sel))
+        .collect();
     if !unknown.is_empty() {
         eprintln!(
             "unknown experiment(s): {} (available: {})",
@@ -71,6 +90,44 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        std::process::exit(2);
+        return ExitCode::from(2);
+    }
+    if run(&registry, &selected, Path::new("results")) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qt_bench::Table;
+
+    fn holds() -> Table {
+        let mut t = Table::new("T1", "gate holds", &["n"]);
+        t.gate(true, || unreachable!());
+        t
+    }
+
+    fn violated() -> Table {
+        let mut t = Table::new("T2", "gate violated", &["n"]);
+        t.gate(false, || "forced".into());
+        t
+    }
+
+    #[test]
+    fn a_violated_gate_or_an_unwritable_csv_fails_the_run() {
+        let registry: Vec<Experiment> = vec![("t1", holds), ("t2", violated)];
+        let dir = std::env::temp_dir().join(format!("qt-repro-test-{}", std::process::id()));
+        assert!(run(&registry, &["t1".into()], &dir));
+        assert!(!run(&registry, &["t1".into(), "t2".into()], &dir));
+        // The violated table is still written: the CSV is the evidence.
+        assert!(dir.join("T2.csv").exists());
+        // A results path that cannot be a directory: the write fails, and
+        // so does the run, even with every gate holding.
+        let blocked = dir.join("T1.csv");
+        assert!(!run(&registry, &["t1".into()], &blocked));
+        std::fs::remove_dir_all(&dir).expect("scratch dir");
     }
 }

@@ -1,9 +1,11 @@
-//! Aligned text tables + CSV output.
+//! Aligned text tables + CSV output, and the gates an experiment states
+//! about its own numbers.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// A simple result table: headers and string rows.
+/// A result table: headers, string rows, and the invariants the experiment
+/// that filled it found violated.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id, e.g. `"E3"`.
@@ -14,6 +16,9 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// One message per failed [`Table::gate`]; `repro` exits non-zero when
+    /// any table it ran has one.
+    pub violations: Vec<String>,
 }
 
 impl Table {
@@ -24,6 +29,7 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            violations: Vec::new(),
         }
     }
 
@@ -33,7 +39,16 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Render as an aligned text table.
+    /// State an invariant over the values the experiment holds: when `ok`
+    /// is false, `msg()` is recorded as a violation (and only then
+    /// evaluated).
+    pub fn gate(&mut self, ok: bool, msg: impl FnOnce() -> String) {
+        if !ok {
+            self.violations.push(msg());
+        }
+    }
+
+    /// Render as an aligned text table, violations listed underneath.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -59,6 +74,9 @@ impl Table {
         for row in &self.rows {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
+        for v in &self.violations {
+            let _ = writeln!(out, "GATE VIOLATED ({}): {v}", self.id);
+        }
         out
     }
 
@@ -66,29 +84,16 @@ impl Table {
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.csv", self.id));
-        let mut s = String::new();
-        let esc = |c: &str| {
+        let esc = |c: &String| {
             if c.contains(',') || c.contains('"') {
                 format!("\"{}\"", c.replace('"', "\"\""))
             } else {
-                c.to_string()
+                c.clone()
             }
         };
-        let _ = writeln!(
-            s,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                s,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
+        let mut s = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            let _ = writeln!(s, "{}", cells.iter().map(esc).collect::<Vec<_>>().join(","));
         }
         std::fs::write(&path, s)?;
         Ok(path)
@@ -97,8 +102,10 @@ impl Table {
 
 /// Compact float formatting for table cells.
 pub fn f(x: f64) -> String {
-    if !x.is_finite() {
-        "inf".into()
+    if x.is_nan() {
+        "NaN".into()
+    } else if x.is_infinite() {
+        if x > 0.0 { "inf" } else { "-inf" }.into()
     } else if x == 0.0 {
         "0".into()
     } else if x.abs() >= 1000.0 {
@@ -150,5 +157,24 @@ mod tests {
         assert_eq!(f(0.001234), "0.0012");
         assert_eq!(f(12345.6), "12346");
         assert_eq!(f(f64::INFINITY), "inf");
+        assert_eq!(f(f64::NEG_INFINITY), "-inf");
+        assert_eq!(f(f64::NAN), "NaN");
+    }
+
+    #[test]
+    fn violated_gate_is_recorded_and_rendered() {
+        let mut t = Table::new("E0", "demo", &["n"]);
+        t.push(vec!["1".into()]);
+        let clean = t.render();
+        t.gate(true, || unreachable!("message of a gate that holds"));
+        assert!(t.violations.is_empty());
+        assert_eq!(t.render(), clean);
+        // A 0/0 hit ratio: NaN fails every comparison, and says so.
+        let (hits, lookups) = (0.0_f64, 0.0_f64);
+        let ratio = hits / lookups;
+        t.gate(ratio <= 1.0, || format!("ratio {} above 1", f(ratio)));
+        assert_eq!(t.violations, ["ratio NaN above 1"]);
+        assert!(t.render().starts_with(&clean));
+        assert!(t.render().contains("GATE VIOLATED (E0): ratio NaN above 1"));
     }
 }
