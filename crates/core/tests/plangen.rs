@@ -299,6 +299,42 @@ fn partial_aggregates_require_matching_shape() {
     );
 }
 
+/// The expected fragment shape is derived once per relation subset; every
+/// offer over that subset is still compared against it, in any order, and
+/// the effort count does not depend on how the shape was obtained.
+#[test]
+fn a_good_offer_does_not_vouch_for_later_ones_over_the_same_subset() {
+    let d = dict();
+    let q = join_query(&d);
+    let cfg = QtConfig::default();
+    let r_all = [(RelId(0), PartSet::all(4))];
+    let mut foreign_select = frag(2, 1, &q, &r_all, 0.1);
+    foreign_select.query.select.pop();
+    let mut extra_predicate = frag(3, 1, &q, &r_all, 0.1);
+    extra_predicate.query.predicates.push(Predicate::with_const(
+        Col::new(RelId(0), 1),
+        qt_query::CompOp::Gt,
+        5i64,
+    ));
+    extra_predicate.query.canonicalize();
+    let offers = vec![
+        frag(1, 1, &q, &r_all, 3.0),
+        foreign_select,
+        extra_predicate,
+        frag(4, 2, &q, &[(RelId(1), PartSet::all(1))], 1.0),
+        frag(5, 1, &q, &[(RelId(0), PartSet::from_indices([0, 1]))], 2.0),
+        frag(6, 1, &q, &[(RelId(0), PartSet::from_indices([2, 3]))], 2.0),
+    ];
+    let gen = generator(&d, &q, &cfg).generate(&offers);
+    let plan = gen.plan.expect("plan");
+    let mut bought: Vec<u64> = plan.purchases.iter().map(|p| p.offer.id).collect();
+    bought.sort_unstable();
+    assert_eq!(bought, vec![1, 4], "only well-shaped offers are bought");
+    // Pinned before the per-subset memo went in: 6 offers classified, one
+    // cover step per relation, one join pair.
+    assert_eq!(gen.considered, 9);
+}
+
 #[test]
 fn considered_effort_is_reported() {
     let d = dict();
