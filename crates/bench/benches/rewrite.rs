@@ -1,10 +1,13 @@
-//! Criterion micro-benches: the §3.4 query rewrite and view matching.
+//! Criterion micro-benches: the §3.4 query rewrite, the sub-query algebra
+//! under it (restriction to a relation subset, fingerprinting) and view
+//! matching.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qt_catalog::NodeId;
+use qt_catalog::{NodeId, RelId};
 use qt_query::views::match_view;
 use qt_query::{rewrite_for_holdings, MaterializedView};
 use qt_workload::{build_federation, gen_join_query, FederationSpec, QueryShape};
+use std::collections::BTreeSet;
 
 fn bench_rewrite(c: &mut Criterion) {
     let fed = build_federation(&FederationSpec {
@@ -23,6 +26,27 @@ fn bench_rewrite(c: &mut Criterion) {
     let holdings = fed.catalog.holdings_of(NodeId(1));
     c.bench_function("rewrite_for_holdings", |b| {
         b.iter(|| std::hint::black_box(rewrite_for_holdings(&q, &holdings)));
+    });
+
+    // The same 6-relation chain, aggregated, restricted to a prefix of its
+    // relations: what the seller DP, the analyser and plangen derive per
+    // sub-plan, per candidate and per offered relation subset.
+    let agg = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 6, true, 3);
+    let prefix = |k: u32| -> BTreeSet<RelId> { (0..k).map(RelId).collect() };
+    let mut group = c.benchmark_group("restrict_to_rels");
+    for k in [1, 3, 5] {
+        let rels = prefix(k);
+        group.bench_function(format!("{k}_of_6"), |b| {
+            b.iter(|| std::hint::black_box(agg.restrict_to_rels(&rels)));
+        });
+    }
+    group.finish();
+    let rels = prefix(3);
+    c.bench_function("strip_then_restrict/3_of_6", |b| {
+        b.iter(|| std::hint::black_box(agg.strip_aggregation().restrict_to_rels(&rels)));
+    });
+    c.bench_function("fingerprint/6_rels", |b| {
+        b.iter(|| std::hint::black_box(agg.fingerprint()));
     });
 }
 

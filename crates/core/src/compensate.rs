@@ -49,7 +49,7 @@ pub fn compensate_assembly(
         let have: BTreeSet<Col> = schema.iter().copied().collect();
         if m.residual_predicates
             .iter()
-            .any(|p| p.cols().iter().any(|c| !have.contains(c)))
+            .any(|p| p.cols().any(|c| !have.contains(&c)))
         {
             return None;
         }

@@ -221,6 +221,9 @@ impl<'a> PlanGenerator<'a> {
         // Row fragments grouped by relation subset, deduped per coverage box.
         let mut groups: BTreeMap<RelSet, Vec<(usize, Offer)>> = BTreeMap::new();
         let mut best_per_box: HashMap<(RelSet, Vec<u64>), (usize, f64)> = HashMap::new();
+        // The fragment shape expected over each relation subset, derived at
+        // the subset's first offer: a pool holds a handful of subsets.
+        let mut shapes: HashMap<RelSet, Query> = HashMap::new();
 
         for (i, o) in offers.iter().enumerate() {
             considered += 1;
@@ -237,7 +240,7 @@ impl<'a> PlanGenerator<'a> {
                 }
                 _ => {}
             }
-            let Some(subset) = self.usable_fragment(&q_core, o, &space) else {
+            let Some(subset) = self.usable_fragment(&q_core, o, &space, &mut shapes) else {
                 continue;
             };
             // Dedup: keep the cheapest offer per exact coverage box.
@@ -503,14 +506,22 @@ impl<'a> PlanGenerator<'a> {
     /// Validate a row-fragment offer: it must be exactly the target's SPJ
     /// core restricted to a relation subset (arbitrary partition coverage).
     /// Returns the subset on success.
-    fn usable_fragment(&self, q_core: &Query, o: &Offer, space: &RelSpace) -> Option<RelSet> {
+    fn usable_fragment(
+        &self,
+        q_core: &Query,
+        o: &Offer,
+        space: &RelSpace,
+        shapes: &mut HashMap<RelSet, Query>,
+    ) -> Option<RelSet> {
         if o.query.is_aggregate() {
             return None;
         }
         // `set_of` fails exactly when the offer mentions a relation outside
         // the target's FROM list.
         let subset = space.set_of(o.query.rel_ids())?;
-        let expected = q_core.restrict_to_rels(&space.to_btree(subset));
+        let expected = shapes
+            .entry(subset)
+            .or_insert_with(|| q_core.restrict_to_rels(&space.to_btree(subset)));
         if o.query.select != expected.select || o.query.predicates != expected.predicates {
             return None;
         }

@@ -6,7 +6,7 @@ use crate::offer::{Offer, OfferKind, RfbItem};
 use qt_catalog::{NodeHoldings, NodeId, RelId};
 use qt_cost::{AnswerProperties, CardinalityEstimator, NodeResources};
 use qt_optimizer::LocalOptimizer;
-use qt_query::views::{match_view, ViewMatch};
+use qt_query::views::match_view;
 use qt_query::{rewrite_for_holdings, MaterializedView, Query};
 use qt_trade::semcache::{CacheStats, Probe, ProbeOutcome, SemCache};
 use qt_trade::SessionId;
@@ -266,8 +266,12 @@ impl SellerEngine {
     /// same hint *set* arriving in a different order — offers travel through
     /// order-scrambling transports — maps to the same key instead of a
     /// spurious miss.
-    fn cache_key(&self, q: &Query, hints: &[Offer]) -> u64 {
-        let mut key = q.fingerprint();
+    ///
+    /// This is the one place an RFB item is fingerprinted: the [`ItemKey`]
+    /// carries the fingerprint on to the cache insertion.
+    fn cache_key(&self, q: &Query, hints: &[Offer]) -> ItemKey {
+        let fingerprint = q.fingerprint();
+        let mut key = fingerprint;
         if self.config.enable_subcontracting && !hints.is_empty() {
             let mut combined = 0u64;
             for h in hints {
@@ -284,7 +288,18 @@ impl SellerEngine {
             }
             key ^= combined;
         }
-        key
+        ItemKey { fingerprint, key }
+    }
+
+    /// Memoize `offers` as the reply to `query` under `key`.
+    fn cache_reply(&mut self, key: ItemKey, query: &Query, offers: &[Offer], benefit: f64) {
+        self.offer_cache.insert_fingerprinted(
+            key.key,
+            key.fingerprint,
+            query.clone(),
+            offers.to_vec(),
+            benefit,
+        );
     }
 
     /// Respond to an RFB: rewrite each requested query for local holdings,
@@ -316,7 +331,7 @@ impl SellerEngine {
         // Evaluation phase: read-only probes against the pre-batch cache
         // state (identical under any worker count), deriving or computing
         // offers as needed; all cache mutation happens in the serial merge.
-        let replies: Vec<(u64, ItemReply)> = qt_par::par_map_ref(items, workers, |item| {
+        let replies: Vec<(ItemKey, ItemReply)> = qt_par::par_map_ref(items, workers, |item| {
             self.lookup_or_eval(round, &item.query, hints)
         });
         let mut resp = SellerResponse::default();
@@ -325,7 +340,7 @@ impl SellerEngine {
                 ItemReply::Exact => {
                     self.cache_hits += 1;
                     self.offer_cache.record(ProbeOutcome::HitExact);
-                    match self.offer_cache.get(key) {
+                    match self.offer_cache.get(key.key) {
                         Some(e) => e.value.clone(),
                         // Evicted between probe and merge by an earlier
                         // item's insertion (bounded cache): recompute.
@@ -339,20 +354,14 @@ impl SellerEngine {
                 ItemReply::Semantic(derived) => {
                     self.cache_hits += 1;
                     self.offer_cache.record(ProbeOutcome::HitSemantic);
-                    self.offer_cache
-                        .insert(key, item.query.clone(), derived.clone(), 0.0);
+                    self.cache_reply(key, &item.query, &derived, 0.0);
                     derived
                 }
                 ItemReply::Fresh(r) => {
                     self.cache_misses += 1;
                     self.offer_cache.record(ProbeOutcome::Miss);
                     resp.effort += r.effort;
-                    self.offer_cache.insert(
-                        key,
-                        item.query.clone(),
-                        r.offers.clone(),
-                        r.effort as f64,
-                    );
+                    self.cache_reply(key, &item.query, &r.offers, r.effort as f64);
                     r.offers
                 }
             };
@@ -369,17 +378,17 @@ impl SellerEngine {
     /// Read-only lookup for one RFB item: exact cache hit, semantic
     /// subsumption hit (with derived offers), or a fresh evaluation. Runs on
     /// `&self` so the parallel evaluation phase can call it concurrently.
-    fn lookup_or_eval(&self, round: u32, q: &Query, hints: &[Offer]) -> (u64, ItemReply) {
+    fn lookup_or_eval(&self, round: u32, q: &Query, hints: &[Offer]) -> (ItemKey, ItemReply) {
         let key = self.cache_key(q, hints);
         match self
             .offer_cache
-            .probe(key, q, self.config.enable_semantic_cache)
+            .probe(key.key, q, self.config.enable_semantic_cache)
         {
             Probe::Exact => (key, ItemReply::Exact),
             Probe::Semantic(cands) => {
-                for (k, m) in cands {
+                for (k, _) in cands {
                     let e = self.offer_cache.get(k).expect("probed candidate exists");
-                    if let Some(derived) = self.derive_offers(round, q, &e.query, &m, &e.value) {
+                    if let Some(derived) = self.derive_offers(round, q, &e.query, &e.value) {
                         return (key, ItemReply::Semantic(derived));
                     }
                 }
@@ -403,10 +412,8 @@ impl SellerEngine {
         round: u32,
         q: &Query,
         cached_q: &Query,
-        m: &ViewMatch,
         offers: &[Offer],
     ) -> Option<Vec<Offer>> {
-        let _ = m; // candidate ranking used it; derivation re-derives shapes
         let q_core = q.strip_aggregation();
         let mut out = Vec::with_capacity(offers.len());
         for o in offers {
@@ -481,12 +488,18 @@ impl SellerEngine {
         let mut derived: std::collections::HashMap<u64, Vec<Offer>> =
             std::collections::HashMap::new();
         let mut scheduled = std::collections::HashSet::new();
+        // Each scheduled entry's item keys, in item order, for the merge.
+        let mut entry_keys: Vec<Vec<ItemKey>> = Vec::with_capacity(entries.len());
         for e in entries {
             if self.rfb_replies.contains_key(&e.req) {
+                entry_keys.push(Vec::new());
                 continue;
             }
+            let mut keys = Vec::with_capacity(e.items.len());
             for item in e.items.iter() {
-                let key = self.cache_key(&item.query, &e.hints);
+                let item_key = self.cache_key(&item.query, &e.hints);
+                keys.push(item_key);
+                let key = item_key.key;
                 if !scheduled.insert(key) {
                     continue;
                 }
@@ -496,9 +509,9 @@ impl SellerEngine {
                 {
                     Probe::Exact => {}
                     Probe::Semantic(cands) => {
-                        let hit = cands.iter().find_map(|(k, m)| {
+                        let hit = cands.iter().find_map(|(k, _)| {
                             let en = self.offer_cache.get(*k).expect("probed candidate exists");
-                            self.derive_offers(e.round, &item.query, &en.query, m, &en.value)
+                            self.derive_offers(e.round, &item.query, &en.query, &en.value)
                         });
                         match hit {
                             Some(d) => {
@@ -520,6 +533,7 @@ impl SellerEngine {
                     }),
                 }
             }
+            entry_keys.push(keys);
         }
         let workers = if self.config.parallel {
             qt_par::max_threads()
@@ -538,7 +552,7 @@ impl SellerEngine {
         let mut fresh: std::collections::HashMap<u64, SellerResponse> =
             computed.into_iter().collect();
         let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
+        for (e, keys) in entries.iter().zip(entry_keys) {
             if let Some(offers) = self.rfb_replies.get(&e.req) {
                 self.duplicate_rfbs += 1;
                 out.push(SellerResponse {
@@ -548,24 +562,18 @@ impl SellerEngine {
                 continue;
             }
             let mut resp = SellerResponse::default();
-            for item in e.items.iter() {
-                let key = self.cache_key(&item.query, &e.hints);
+            for (item, item_key) in e.items.iter().zip(keys) {
+                let key = item_key.key;
                 let offers = if let Some(r) = fresh.remove(&key) {
                     self.cache_misses += 1;
                     self.offer_cache.record(ProbeOutcome::Miss);
                     resp.effort += r.effort;
-                    self.offer_cache.insert(
-                        key,
-                        item.query.clone(),
-                        r.offers.clone(),
-                        r.effort as f64,
-                    );
+                    self.cache_reply(item_key, &item.query, &r.offers, r.effort as f64);
                     r.offers
                 } else if let Some(d) = derived.remove(&key) {
                     self.cache_hits += 1;
                     self.offer_cache.record(ProbeOutcome::HitSemantic);
-                    self.offer_cache
-                        .insert(key, item.query.clone(), d.clone(), 0.0);
+                    self.cache_reply(item_key, &item.query, &d, 0.0);
                     d
                 } else {
                     self.cache_hits += 1;
@@ -873,6 +881,17 @@ impl SellerEngine {
             self.observe_award(won);
         }
     }
+}
+
+/// One RFB item's identity, computed once per item by
+/// [`SellerEngine::cache_key`].
+#[derive(Debug, Clone, Copy)]
+struct ItemKey {
+    /// The requested query's [`Query::fingerprint`].
+    fingerprint: u64,
+    /// The offer-cache key: the fingerprint, mixed with the hints digest
+    /// when subcontracting is on.
+    key: u64,
 }
 
 /// Outcome of the read-only cache lookup for one RFB item, produced by the

@@ -330,8 +330,8 @@ fn a_good_offer_does_not_vouch_for_later_ones_over_the_same_subset() {
     let mut bought: Vec<u64> = plan.purchases.iter().map(|p| p.offer.id).collect();
     bought.sort_unstable();
     assert_eq!(bought, vec![1, 4], "only well-shaped offers are bought");
-    // Pinned before the per-subset memo went in: 6 offers classified, one
-    // cover step per relation, one join pair.
+    // 6 offers classified, one cover step per relation, one join pair —
+    // however often the expected shape is derived.
     assert_eq!(gen.considered, 9);
 }
 

@@ -183,7 +183,7 @@ impl<'a, S: StatsSource> CardinalityEstimator<'a, S> {
             .collect();
         let mut rows: f64 = profiles.values().map(|p| p.rows).product();
         for p in query.join_predicates() {
-            if p.rels().iter().all(|r| profiles.contains_key(r)) {
+            if p.rels().all(|r| profiles.contains_key(&r)) {
                 rows *= Self::join_selectivity(&profiles, p);
             }
         }

@@ -56,7 +56,7 @@ impl<'q, 'a, S: StatsSource> SubsetCardMemo<'q, 'a, S> {
         };
         let join_preds: Vec<(&Predicate, u64)> = query
             .join_predicates()
-            .map(|p| (p, p.rels().iter().fold(0u64, |m, &r| m | mask_of(r))))
+            .map(|p| (p, p.rels().fold(0u64, |m, r| m | mask_of(r))))
             .collect();
         SubsetCardMemo {
             est,

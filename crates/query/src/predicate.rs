@@ -145,31 +145,36 @@ impl Predicate {
         !self.is_join()
     }
 
-    /// All relations the predicate mentions (1 or 2).
-    pub fn rels(&self) -> Vec<RelId> {
-        let mut v = vec![self.left.rel];
-        if let Operand::Col(c) = &self.right {
-            if c.rel != self.left.rel {
-                v.push(c.rel);
-            }
+    /// The right-hand column, if the comparison is column-to-column.
+    fn right_col(&self) -> Option<Col> {
+        match &self.right {
+            Operand::Col(c) => Some(*c),
+            Operand::Const(_) => None,
         }
-        v
     }
 
-    /// All columns the predicate mentions.
-    pub fn cols(&self) -> Vec<Col> {
-        let mut v = vec![self.left];
-        if let Operand::Col(c) = &self.right {
-            v.push(*c);
-        }
-        v
+    /// All relations the predicate mentions (1 or 2), left first.
+    pub fn rels(&self) -> impl Iterator<Item = RelId> {
+        let left = self.left.rel;
+        let right = self.right_col().map(|c| c.rel).filter(|&r| r != left);
+        std::iter::once(left).chain(right)
+    }
+
+    /// All columns the predicate mentions (1 or 2), left first.
+    pub fn cols(&self) -> impl Iterator<Item = Col> {
+        std::iter::once(self.left).chain(self.right_col())
+    }
+
+    /// Is the predicate in the form [`canonical`](Self::canonical) produces?
+    pub(crate) fn is_canonical(&self) -> bool {
+        self.right_col().is_none_or(|c| self.left <= c)
     }
 
     /// Canonical form: column-to-column comparisons put the smaller column on
     /// the left (flipping the operator), so that syntactically different but
     /// equivalent predicates compare equal.
     pub fn canonical(mut self) -> Predicate {
-        if let Operand::Col(c) = self.right {
+        if let Some(c) = self.right_col() {
             if c < self.left {
                 self.right = Operand::Col(self.left);
                 self.left = c;
@@ -252,12 +257,16 @@ mod tests {
     fn join_vs_selection_classification() {
         let join = Predicate::eq_cols(col(0, 0), col(1, 1));
         assert!(join.is_join());
-        assert_eq!(join.rels(), vec![RelId(0), RelId(1)]);
+        assert!(join.rels().eq([RelId(0), RelId(1)]));
+        assert!(join.cols().eq([col(0, 0), col(1, 1)]));
         let sel = Predicate::with_const(col(0, 0), CompOp::Gt, 5i64);
         assert!(sel.is_selection());
-        assert_eq!(sel.rels(), vec![RelId(0)]);
+        assert!(sel.rels().eq([RelId(0)]));
+        assert!(sel.cols().eq([col(0, 0)]));
         let same_rel = Predicate::eq_cols(col(0, 0), col(0, 1));
         assert!(same_rel.is_selection());
+        assert!(same_rel.rels().eq([RelId(0)]));
+        assert!(same_rel.cols().eq([col(0, 0), col(0, 1)]));
     }
 
     #[test]

@@ -253,18 +253,10 @@ impl Query {
 
     /// All columns the query mentions anywhere.
     pub fn all_cols(&self) -> BTreeSet<Col> {
-        let mut cols = BTreeSet::new();
-        for s in &self.select {
-            if let Some(c) = s.col() {
-                cols.insert(c);
-            }
-        }
-        for p in &self.predicates {
-            cols.extend(p.cols());
-        }
-        cols.extend(self.group_by.iter().copied());
-        cols.extend(self.order_by.iter().copied());
-        cols
+        self.output_cols()
+            .chain(self.order_by.iter().copied())
+            .chain(self.predicates.iter().flat_map(Predicate::cols))
+            .collect()
     }
 
     /// Columns of `rel` that any *other* part of the query needs if `rel` is
@@ -277,26 +269,36 @@ impl Query {
             .collect()
     }
 
+    /// Group-by keys, then the columns of the `SELECT` list (plain or
+    /// aggregated).
+    fn output_cols(&self) -> impl Iterator<Item = Col> + '_ {
+        self.group_by
+            .iter()
+            .copied()
+            .chain(self.select.iter().filter_map(SelectItem::col))
+    }
+
+    /// What the SPJ core delivers: [`output_cols`](Self::output_cols), or —
+    /// for a `COUNT(*)` with no group-by, where any column will do for
+    /// counting — the first attribute of the first relation.
+    pub(crate) fn core_cols(&self) -> impl Iterator<Item = Col> + '_ {
+        let mut cols = self.output_cols().peekable();
+        let fallback = cols.peek().is_none().then(|| {
+            let rel = *self.relations.keys().next().expect("query has relations");
+            Col::new(rel, 0)
+        });
+        cols.chain(fallback)
+    }
+
     /// The SPJ core of an aggregate query: same `FROM`/`WHERE`, selecting the
     /// group-by keys and aggregate arguments as plain columns. Non-aggregate
     /// queries are returned unchanged (minus `ORDER BY`).
     pub fn strip_aggregation(&self) -> Query {
         let mut cols: Vec<Col> = Vec::new();
-        for c in self
-            .group_by
-            .iter()
-            .copied()
-            .chain(self.select.iter().filter_map(|s| s.col()))
-        {
+        for c in self.core_cols() {
             if !cols.contains(&c) {
                 cols.push(c);
             }
-        }
-        if cols.is_empty() {
-            // COUNT(*) with no group-by: any column will do for counting; use
-            // the first attribute of the first relation.
-            let rel = *self.relations.keys().next().expect("query has relations");
-            cols.push(Col::new(rel, 0));
         }
         Query {
             relations: self.relations.clone(),
@@ -316,40 +318,61 @@ impl Query {
     /// This is the building block of both the seller's rewrite (§3.4) and the
     /// modified-DP partial offers.
     pub fn restrict_to_rels(&self, rels: &BTreeSet<RelId>) -> Query {
-        let relations: BTreeMap<RelId, PartSet> = self
+        let relations = self
             .relations
             .iter()
             .filter(|(r, _)| rels.contains(r))
             .map(|(r, p)| (*r, *p))
             .collect();
-        let predicates: Vec<Predicate> = self
-            .predicates
-            .iter()
-            .filter(|p| p.rels().iter().all(|r| relations.contains_key(r)))
-            .cloned()
-            .collect();
-        let select: Vec<SelectItem> = relations
-            .keys()
-            .flat_map(|r| self.needed_cols_of(*r))
-            .map(SelectItem::Col)
-            .collect();
+        self.sub_join(
+            relations,
+            self.output_cols().chain(self.order_by.iter().copied()),
+        )
+    }
+
+    /// The sub-join over `relations` (a subset of `FROM`, each with the
+    /// extent the result ranges over) of a query that needs `needed` besides
+    /// its predicates' columns: one pass over the predicates keeps those
+    /// entirely over `relations` and collects the kept relations' columns.
+    ///
+    /// Canonical predicates restrict to canonical predicates — a subsequence
+    /// of a strictly sorted list — so the result is only re-canonicalized
+    /// when the pass finds `predicates` (a `pub` field) out of form.
+    pub(crate) fn sub_join(
+        &self,
+        relations: BTreeMap<RelId, PartSet>,
+        needed: impl Iterator<Item = Col>,
+    ) -> Query {
+        let kept = |r: RelId| relations.contains_key(&r);
+        let mut cols: Vec<Col> = needed.filter(|c| kept(c.rel)).collect();
+        let mut predicates: Vec<Predicate> = Vec::new();
+        let mut canonical = true;
+        for p in &self.predicates {
+            cols.extend(p.cols().filter(|c| kept(c.rel)));
+            if p.rels().all(kept) {
+                canonical &= p.is_canonical() && predicates.last().is_none_or(|prev| prev < p);
+                predicates.push(p.clone());
+            }
+        }
+        // `Col` orders by relation first, so this is each kept relation's
+        // needed columns in turn.
+        cols.sort_unstable();
+        cols.dedup();
+        if cols.is_empty() {
+            // Nothing upstream needs a column (e.g. COUNT(*) query): keep the
+            // first attribute of each relation so the sub-result is well-formed.
+            cols.extend(relations.keys().map(|r| Col::new(*r, 0)));
+        }
         let mut q = Query {
             relations,
             predicates,
-            select,
+            select: cols.into_iter().map(SelectItem::Col).collect(),
             group_by: Vec::new(),
             order_by: Vec::new(),
         };
-        if q.select.is_empty() {
-            // Nothing upstream needs a column (e.g. COUNT(*) query): keep the
-            // first attribute of each relation so the sub-result is well-formed.
-            q.select = q
-                .relations
-                .keys()
-                .map(|r| SelectItem::Col(Col::new(*r, 0)))
-                .collect();
+        if !canonical {
+            q.canonicalize();
         }
-        q.canonicalize();
         q
     }
 
@@ -530,7 +553,7 @@ impl fmt::Display for QueryDisplay<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::predicate::CompOp;
+    use crate::predicate::{CompOp, Operand};
     use qt_catalog::{
         AttrType, CatalogBuilder, NodeId, PartId, PartitionStats, Partitioning, RelationSchema,
         Value,
@@ -669,6 +692,49 @@ pub(crate) mod tests {
         // The cross-relation join predicate is gone.
         assert_eq!(only_inv.predicates.len(), 0);
         assert_eq!(only_inv.num_relations(), 1);
+    }
+
+    /// `predicates` is a `pub` field: a query whose predicates were pushed
+    /// out of canonical form by hand must still restrict to the canonical
+    /// sub-query — each kind of damage on its own, and all of them at once.
+    #[test]
+    fn restrict_to_rels_recanonicalizes_hand_mutated_predicates() {
+        let dict = telecom_dict();
+        let join = Predicate::eq_cols(Col::new(cust(), 0), Col::new(inv(), 2));
+        let flipped = Predicate {
+            left: Col::new(inv(), 2),
+            op: CompOp::Eq,
+            right: Operand::Col(Col::new(cust(), 0)),
+        };
+        assert!(join.is_canonical() && !flipped.is_canonical());
+        let charge = Predicate::with_const(Col::new(inv(), 3), CompOp::Gt, 100.0);
+        let line = Predicate::with_const(Col::new(inv(), 1), CompOp::Le, 3i64);
+        let q = Query::over_full(&dict, [cust(), inv()])
+            .with_predicates(vec![join.clone(), charge.clone(), line.clone()])
+            .with_select(vec![SelectItem::Col(Col::new(cust(), 1))]);
+        assert_eq!(
+            q.predicates,
+            vec![join.clone(), line.clone(), charge.clone()]
+        );
+        let damaged = [
+            vec![flipped.clone(), line.clone(), charge.clone()],
+            vec![join.clone(), charge.clone(), line.clone()],
+            vec![join.clone(), line.clone(), line.clone(), charge.clone()],
+            vec![charge.clone(), flipped, line.clone(), charge, join, line],
+        ];
+        for rels in [
+            BTreeSet::from([inv()]),
+            BTreeSet::from([cust()]),
+            BTreeSet::from([cust(), inv()]),
+        ] {
+            let want = q.restrict_to_rels(&rels);
+            want.validate(&dict).unwrap();
+            for predicates in &damaged {
+                let mut bad = q.clone();
+                bad.predicates = predicates.clone();
+                assert_eq!(bad.restrict_to_rels(&rels), want, "{predicates:?}");
+            }
+        }
     }
 
     #[test]

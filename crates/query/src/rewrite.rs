@@ -13,7 +13,7 @@
 use crate::partset::PartSet;
 use crate::query::Query;
 use qt_catalog::{NodeHoldings, RelId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Rewrite `q` for the node described by `holdings`: drop relations the node
 /// holds nothing of, and restrict every kept relation's extent to the
@@ -25,23 +25,20 @@ use std::collections::{BTreeMap, BTreeSet};
 ///
 /// Returns `None` when the node holds no useful data at all.
 pub fn rewrite_for_holdings(q: &Query, holdings: &NodeHoldings) -> Option<Query> {
-    let mut kept: BTreeMap<RelId, PartSet> = BTreeMap::new();
-    for (&rel, wanted) in &q.relations {
-        let have = PartSet::from_part_ids(rel, holdings.parts_of(rel));
-        let local = wanted.intersect(&have);
-        if !local.is_empty() {
-            kept.insert(rel, local);
-        }
-    }
+    let kept: BTreeMap<RelId, PartSet> = q
+        .relations
+        .iter()
+        .filter_map(|(&rel, wanted)| {
+            let have = PartSet::from_part_ids(rel, holdings.parts_of(rel));
+            let local = wanted.intersect(&have);
+            (!local.is_empty()).then_some((rel, local))
+        })
+        .collect();
     if kept.is_empty() {
         return None;
     }
-    let rels: BTreeSet<RelId> = kept.keys().copied().collect();
-    let mut rewritten = q.strip_aggregation().restrict_to_rels(&rels);
-    for (rel, parts) in kept {
-        rewritten.relations.insert(rel, parts);
-    }
-    Some(rewritten)
+    // The SPJ core restricted to the kept relations, over the local extents.
+    Some(q.sub_join(kept, q.core_cols()))
 }
 
 /// Can this node answer `q` *exactly* by itself — i.e. does it hold every
@@ -64,7 +61,8 @@ mod tests {
     };
 
     /// Telecom catalog: customer list-partitioned by office over 3 nodes,
-    /// invoiceline fully replicated on node 2 (Myconos) only.
+    /// invoiceline whole on node 2 (Myconos) and on node 3, which holds no
+    /// customer partition.
     fn catalog() -> Catalog {
         let mut b = CatalogBuilder::new();
         let cust = b.add_relation(
@@ -109,6 +107,7 @@ mod tests {
             PartitionStats::synthetic(1000, &[200, 5, 300, 50]),
         );
         b.place(PartId::new(inv, 0), NodeId(2));
+        b.place(PartId::new(inv, 0), NodeId(3));
         b.build()
     }
 
@@ -162,6 +161,41 @@ mod tests {
         // the join column custid must still be in the output.
         assert_eq!(rw.join_predicates().count(), 0);
         assert!(rw.select.contains(&SelectItem::Col(Col::new(RelId(0), 0))));
+    }
+
+    /// The rewrite is `strip_aggregation().restrict_to_rels(..)` over the
+    /// locally held relations, `COUNT(*)` fallback columns included: the
+    /// core's stand-in column sits on the *first* relation, so a node without
+    /// it falls through to what the kept relations' predicates mention, and
+    /// from there to each kept relation's first attribute.
+    #[test]
+    fn count_star_rewrite_without_the_first_relation_matches_strip_then_restrict() {
+        let c = catalog();
+        let (cust, inv) = (RelId(0), RelId(1));
+        let count_star = vec![SelectItem::Agg {
+            func: AggFunc::Count,
+            arg: None,
+        }];
+        let cross = Query::over_full(&c.dict, [cust, inv]).with_select(count_star);
+        let joined = cross.clone().with_predicates(vec![Predicate::eq_cols(
+            Col::new(cust, 0),
+            Col::new(inv, 2),
+        )]);
+        let inv_only = c.holdings_of(NodeId(3));
+        for (q, want_select) in [(&joined, Col::new(inv, 2)), (&cross, Col::new(inv, 0))] {
+            q.validate(&c.dict).unwrap();
+            let rw = rewrite_for_holdings(q, &inv_only).unwrap();
+            assert_eq!(
+                rw,
+                q.strip_aggregation()
+                    .restrict_to_rels(&std::collections::BTreeSet::from([inv]))
+            );
+            assert_eq!(rw.select, vec![SelectItem::Col(want_select)]);
+            rw.validate(&c.dict).unwrap();
+        }
+        // With the first relation held, its stand-in column is delivered.
+        let rw = rewrite_for_holdings(&cross, &c.holdings_of(NodeId(2))).unwrap();
+        assert_eq!(rw.select, vec![SelectItem::Col(Col::new(cust, 0))]);
     }
 
     #[test]

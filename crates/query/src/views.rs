@@ -109,7 +109,7 @@ pub fn match_view(view: &Query, query: &Query) -> Option<ViewMatch> {
                 query.select.iter().any(|s| s.col() == Some(*c))
                     || query.group_by.contains(c)
                     || query.order_by.contains(c)
-                    || residual.iter().any(|p| p.cols().contains(c))
+                    || residual.iter().any(|p| p.cols().any(|pc| pc == *c))
             })
             .collect();
         if !needed.is_subset(&view_cols) {

@@ -269,6 +269,21 @@ impl<V> SemCache<V> {
     /// subsuming probes; entries under derived keys (hint digests) answer
     /// only exact probes.
     pub fn insert(&mut self, key: u64, query: Query, value: V, benefit: f64) -> bool {
+        let fingerprint = query.fingerprint();
+        self.insert_fingerprinted(key, fingerprint, query, value, benefit)
+    }
+
+    /// [`insert`](Self::insert) for a caller that already holds
+    /// `fingerprint == query.fingerprint()` — sellers derive `key` from it.
+    pub fn insert_fingerprinted(
+        &mut self,
+        key: u64,
+        fingerprint: u64,
+        query: Query,
+        value: V,
+        benefit: f64,
+    ) -> bool {
+        debug_assert_eq!(fingerprint, query.fingerprint());
         let replacing = self.entries.contains_key(&key);
         if !replacing && self.capacity > 0 && self.entries.len() >= self.capacity {
             // Victim: minimum (benefit, stamp, key) — the least valuable,
@@ -290,7 +305,7 @@ impl<V> SemCache<V> {
         if replacing {
             self.remove_key(key);
         }
-        let subsumable = key == query.fingerprint();
+        let subsumable = key == fingerprint;
         let rels = Self::rels_of(&query);
         self.by_rels.entry(rels).or_default().insert(key);
         let stamp = self.clock;
@@ -472,6 +487,24 @@ mod tests {
             c.probe(sub.fingerprint(), &sub, true),
             Probe::Miss
         ));
+    }
+
+    #[test]
+    fn only_fingerprint_keyed_entries_are_subsumable() {
+        let q = wide(RelId(0));
+        let fp = q.fingerprint();
+        let hinted = fp ^ 0xdead_beef;
+        let mut c: SemCache<u32> = SemCache::new(0);
+        c.insert(fp, q.clone(), 1, 1.0);
+        c.insert(hinted, q.clone(), 2, 1.0);
+        assert!(c.get(fp).unwrap().subsumable);
+        assert!(!c.get(hinted).unwrap().subsumable);
+        // The same through the insertion that is handed the fingerprint.
+        let mut c: SemCache<u32> = SemCache::new(0);
+        c.insert_fingerprinted(fp, fp, q.clone(), 1, 1.0);
+        c.insert_fingerprinted(hinted, fp, q, 2, 1.0);
+        assert!(c.get(fp).unwrap().subsumable);
+        assert!(!c.get(hinted).unwrap().subsumable);
     }
 
     #[test]

@@ -114,7 +114,7 @@ mod tests {
         let d = dict(4);
         let q = gen_join_query(&d, QueryShape::Star, 4, false, 1);
         for p in q.join_predicates() {
-            assert!(p.rels().contains(&RelId(0)));
+            assert!(p.rels().any(|r| r == RelId(0)));
         }
     }
 
