@@ -858,7 +858,7 @@ pub fn e17() -> Table {
             let resp = seller.respond(
                 0,
                 &[qt_core::RfbItem {
-                    query: offer.query.clone(),
+                    query: Query::clone(&offer.query),
                     ref_value: f64::INFINITY,
                 }],
             );

@@ -77,6 +77,9 @@ pub struct BrokerNode {
     /// Fault plane: while set, every delivery (own timers included) is
     /// silently dropped — an unreachable process, not amnesia.
     crashed: bool,
+    /// Was this broker ever crashed? A crash also swallows the deadline
+    /// timers of the rounds then open, so those rounds may never close.
+    ever_crashed: bool,
     /// Standby probe state: consecutive unanswered lease intervals.
     misses: u32,
     /// Did a `BrokerLeaseAck` arrive since the last tick?
@@ -121,6 +124,7 @@ impl BrokerNode {
             standby: spec.standby,
             parent_standby: None,
             crashed: false,
+            ever_crashed: false,
             misses: 0,
             ack_seen: true, // the boot tick must not count as a miss
             quiesced: false,
@@ -144,6 +148,17 @@ impl BrokerNode {
         b.standby_of = Some(spec.node);
         b.standby = None;
         b
+    }
+
+    /// Gathering rounds this broker should have closed and did not: every
+    /// round ends with its last child reply or its deadline timer, unless a
+    /// crash swallowed the timer. Zero once a simulation has drained.
+    pub(crate) fn leaked_rounds(&self) -> usize {
+        if self.ever_crashed {
+            0
+        } else {
+            self.open.len()
+        }
     }
 
     /// Set the CC target for upward advertisements (the parent region's
@@ -653,6 +668,7 @@ impl BrokerNode {
         match msg {
             ServeMsg::Crash => {
                 self.crashed = true;
+                self.ever_crashed = true;
             }
             ServeMsg::Restart => {
                 self.crashed = false;

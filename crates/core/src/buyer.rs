@@ -98,7 +98,7 @@ impl BuyerEngine {
     pub fn start(&mut self) -> Vec<RfbItem> {
         let item = RfbItem {
             query: self.query.clone(),
-            ref_value: self.value_book.estimate(Offer::query_key(&self.query)),
+            ref_value: self.value_book.estimate(self.query.fingerprint()),
         };
         self.asked.insert(self.query.clone());
         self.pending_items = vec![item.clone()];
@@ -108,10 +108,11 @@ impl BuyerEngine {
     /// Accumulate offers from a seller's response.
     pub fn receive_offers(&mut self, offers: Vec<Offer>) {
         for o in &offers {
-            // B1 learning: observe the market's asks.
-            let key = Offer::query_key(&o.query);
+            // B1 learning: observe the market's asks. The fingerprint is
+            // memoised in the offer's query handle, so the competing scan
+            // and the reserve lookup of `close_round` reuse it.
             self.value_book
-                .observe(key, self.config.valuation.score(&o.props));
+                .observe(o.query.fingerprint(), self.config.valuation.score(&o.props));
         }
         self.round_offers += offers.len();
         self.offers.extend(offers);
@@ -141,7 +142,7 @@ impl BuyerEngine {
                 let competing: Vec<&Offer> = self
                     .offers
                     .iter()
-                    .filter(|o| o.query == purchase.offer.query && o.kind == purchase.offer.kind)
+                    .filter(|o| o.promises(&purchase.offer.query, purchase.offer.kind))
                     .collect();
                 if competing.len() <= 1 {
                     continue;
@@ -156,7 +157,7 @@ impl BuyerEngine {
                 // already decided; the reserve only caps the agreed price.
                 let reserve = self
                     .value_book
-                    .reserve(Offer::query_key(&purchase.offer.query))
+                    .reserve(purchase.offer.query.fingerprint())
                     .max(self.config.valuation.score(&purchase.offer.props));
                 let outcome = self.config.protocol.negotiate(&bids, reserve);
                 self.negotiation_messages += outcome.extra_messages;
@@ -184,7 +185,9 @@ impl BuyerEngine {
             .unwrap_or(f64::INFINITY);
         let improved = new_cost < old_cost - 1e-12;
         if improved {
-            self.best = gen.plan.clone().or_else(|| self.best.take());
+            // An improving plan exists (its cost is finite); the analyser
+            // below reads only `gen.join_sites`.
+            self.best = gen.plan.take();
         }
 
         self.history.push(IterationStats {
@@ -222,7 +225,7 @@ impl BuyerEngine {
             .into_iter()
             .map(|q| {
                 self.asked.insert(q.clone());
-                let ref_value = self.value_book.estimate(Offer::query_key(&q));
+                let ref_value = self.value_book.estimate(q.fingerprint());
                 RfbItem {
                     query: q,
                     ref_value,
@@ -354,12 +357,12 @@ mod tests {
         let (dict, q) = dict_and_query();
         let mut buyer = BuyerEngine::new(NodeId(0), dict, q.clone(), QtConfig::default());
         buyer.start();
-        let key = Offer::query_key(&q);
+        let key = q.fingerprint();
         assert!(buyer.value_book.estimate(key).is_infinite());
         buyer.receive_offers(vec![Offer {
             id: 1,
             seller: NodeId(1),
-            query: q.clone(),
+            query: q.clone().into(),
             props: qt_cost::AnswerProperties::timed(3.0, 10.0, 80.0),
             true_cost: 3.0,
             kind: crate::offer::OfferKind::Rows,

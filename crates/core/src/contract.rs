@@ -24,7 +24,7 @@ use crate::config::QtConfig;
 use crate::dist_plan::{estimate_from, DistributedPlan};
 use crate::offer::{Offer, OfferKind, RfbItem};
 use qt_catalog::NodeId;
-use qt_query::Query;
+use qt_query::{Query, SharedQuery};
 use qt_trade::ContractState;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -181,7 +181,7 @@ struct Contract {
 /// Per-slot bid book: the subquery identity plus every competing offer,
 /// persisted from the trading rounds for failover.
 struct Slot {
-    query: Query,
+    query: SharedQuery,
     kind: OfferKind,
     /// Candidates sorted by `(valuation score, seller, id)` — the failover
     /// preference order.
@@ -240,7 +240,7 @@ impl ContractController {
             .map(|p| {
                 let mut candidates: Vec<Offer> = all_offers
                     .iter()
-                    .filter(|o| o.query == p.offer.query && o.kind == p.offer.kind)
+                    .filter(|o| o.promises(&p.offer.query, p.offer.kind))
                     .cloned()
                     .collect();
                 sort_candidates(&mut candidates, &cfg);
@@ -595,7 +595,7 @@ impl ContractController {
             .retrade_pending
             .iter()
             .map(|&slot| RfbItem {
-                query: self.slots[slot].query.clone(),
+                query: Query::clone(&self.slots[slot].query),
                 ref_value: self.plan.purchases[slot].agreed_value,
             })
             .collect();
@@ -631,7 +631,7 @@ impl ContractController {
             slot.candidates.extend(
                 offers
                     .iter()
-                    .filter(|o| o.query == slot.query && o.kind == slot.kind)
+                    .filter(|o| o.promises(&slot.query, slot.kind))
                     .cloned(),
             );
             let cfg = &self.cfg;
@@ -740,7 +740,7 @@ mod tests {
         Offer {
             id,
             seller: NodeId(seller),
-            query: q.clone(),
+            query: q.clone().into(),
             props: AnswerProperties::timed(time, 10.0, 80.0),
             true_cost: time,
             kind: OfferKind::Rows,

@@ -414,7 +414,7 @@ mod tests {
             offer: Offer {
                 id: slot as u64,
                 seller: NodeId(slot as u32),
-                query: q.clone(),
+                query: q.clone().into(),
                 props: qt_cost::AnswerProperties::timed(t, 10.0, 80.0),
                 true_cost: t,
                 kind: OfferKind::Rows,

@@ -2,7 +2,7 @@
 
 use qt_catalog::NodeId;
 use qt_cost::AnswerProperties;
-use qt_query::Query;
+use qt_query::{Query, SharedQuery};
 
 /// One entry of a Request-For-Bids: a query the buyer wants valued, with the
 /// buyer's current reference value for it (step B1's strategic estimate).
@@ -35,8 +35,11 @@ pub struct Offer {
     pub id: u64,
     /// The offering seller.
     pub seller: NodeId,
-    /// The exact (rewritten) query whose answer is promised.
-    pub query: Query,
+    /// The exact (rewritten) query whose answer is promised: one shared
+    /// allocation from the seller's DP to the buyer's plan, carrying its
+    /// memoised fingerprint (the buyer's value-book key, the brokers' pruning
+    /// key and the hints digest of the seller's offer-cache key).
+    pub query: SharedQuery,
     /// Asking properties (after the seller's strategy markup).
     pub props: AnswerProperties,
     /// The seller's true delivery cost in valuation units. Private in a real
@@ -50,44 +53,14 @@ pub struct Offer {
     /// Sub-purchases this offer depends on (§3.5 subcontracting): the seller
     /// will buy these fragments from third nodes to assemble its answer.
     /// Empty for ordinary offers.
-    pub subcontracts: Vec<(NodeId, Query)>,
+    pub subcontracts: Vec<(NodeId, SharedQuery)>,
 }
 
 impl Offer {
-    /// Stable fingerprint of the offered query (the buyer's value-book key
-    /// and the seller's offer-cache key).
-    pub fn query_key(query: &Query) -> u64 {
-        query.fingerprint()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qt_catalog::{
-        AttrType, CatalogBuilder, NodeId, PartId, PartitionStats, Partitioning, RelationSchema,
-    };
-    use qt_query::{parse_query, PartSet, SelectItem};
-
-    #[test]
-    fn query_key_is_stable_and_discriminating() {
-        let mut b = CatalogBuilder::new();
-        let r = b.add_relation(
-            RelationSchema::new("r", vec![("a", AttrType::Int)]),
-            Partitioning::Hash { attr: 0, parts: 2 },
-        );
-        b.set_stats(PartId::new(r, 0), PartitionStats::synthetic(1, &[1]));
-        b.set_stats(PartId::new(r, 1), PartitionStats::synthetic(1, &[1]));
-        b.place(PartId::new(r, 0), NodeId(0));
-        b.place(PartId::new(r, 1), NodeId(0));
-        let cat = b.build();
-        let q = parse_query(&cat.dict, "SELECT a FROM r").unwrap();
-        assert_eq!(Offer::query_key(&q), Offer::query_key(&q.clone()));
-        let restricted = q.clone().with_partset(r, PartSet::single(0));
-        assert_ne!(Offer::query_key(&q), Offer::query_key(&restricted));
-        let other = qt_query::Query::over_full(&cat.dict, [r])
-            .with_select(vec![SelectItem::Col(qt_query::Col::new(r, 0))])
-            .with_order_by(vec![qt_query::Col::new(r, 0)]);
-        assert_ne!(Offer::query_key(&q), Offer::query_key(&other));
+    /// Does this offer promise `query` as `kind` — i.e. does it compete for
+    /// the same purchase? Memoised fingerprints settle almost every "no"
+    /// before the queries themselves are compared.
+    pub fn promises(&self, query: &SharedQuery, kind: OfferKind) -> bool {
+        self.kind == kind && self.query.fingerprint() == query.fingerprint() && self.query == *query
     }
 }

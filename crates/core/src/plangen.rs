@@ -14,7 +14,7 @@ use crate::relset::RelSet;
 use qt_catalog::{RelId, SchemaDict};
 use qt_cost::NodeResources;
 use qt_exec::{AggSpec, PhysPlan};
-use qt_query::{Col, CompOp, Operand, Query, SelectItem};
+use qt_query::{Col, CompOp, Operand, Predicate, Query, SelectItem};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What the generator returns.
@@ -164,7 +164,7 @@ impl<'a> PlanGenerator<'a> {
     /// pairwise disjoint until they tile the full requested box over `rels`.
     fn greedy_cover(
         &self,
-        offers: &[&(usize, Offer)],
+        offers: &[(usize, &Offer)],
         rels: RelSet,
         space: &RelSpace,
         considered: &mut u64,
@@ -175,19 +175,19 @@ impl<'a> PlanGenerator<'a> {
             .product();
         // Order by per-partition price (so large cheap fragments are laid
         // down first and singletons fill the gaps), then absolute score.
-        let mut order: Vec<&&(usize, Offer)> = offers.iter().collect();
+        let mut order: Vec<(usize, &Offer)> = offers.to_vec();
         order.sort_by(|a, b| {
             let ma = self.box_measure(&a.1.query, rels, space).max(1) as f64;
             let mb = self.box_measure(&b.1.query, rels, space).max(1) as f64;
-            (self.score(&a.1) / ma)
-                .total_cmp(&(self.score(&b.1) / mb))
-                .then(self.score(&a.1).total_cmp(&self.score(&b.1)))
+            (self.score(a.1) / ma)
+                .total_cmp(&(self.score(b.1) / mb))
+                .then(self.score(a.1).total_cmp(&self.score(b.1)))
                 .then(a.1.id.cmp(&b.1.id))
         });
         let mut chosen: Vec<usize> = Vec::new();
         let mut chosen_queries: Vec<&Query> = Vec::new();
         let mut measure = 0u64;
-        for (idx, offer) in order.iter().copied() {
+        for (idx, offer) in order {
             *considered += 1;
             if chosen_queries
                 .iter()
@@ -196,7 +196,7 @@ impl<'a> PlanGenerator<'a> {
                 continue;
             }
             measure += self.box_measure(&offer.query, rels, space);
-            chosen.push(*idx);
+            chosen.push(idx);
             chosen_queries.push(&offer.query);
             if measure == full_measure {
                 return Some(chosen);
@@ -208,7 +208,9 @@ impl<'a> PlanGenerator<'a> {
         None
     }
 
-    /// Main entry: generate the best plan from `offers`.
+    /// Main entry: generate the best plan from `offers`. The search works
+    /// on borrowed offers; only the purchases of the winning plan clone one
+    /// (a reference-count bump on its query).
     pub fn generate(&self, offers: &[Offer]) -> GenOutput {
         let mut considered = 0u64;
         let q_core = self.query.strip_aggregation();
@@ -217,9 +219,9 @@ impl<'a> PlanGenerator<'a> {
 
         // ---- Classify offers --------------------------------------------
         let mut whole: Vec<(usize, &Offer)> = Vec::new();
-        let mut partial_agg: Vec<(usize, Offer)> = Vec::new();
+        let mut partial_agg: Vec<(usize, &Offer)> = Vec::new();
         // Row fragments grouped by relation subset, deduped per coverage box.
-        let mut groups: BTreeMap<RelSet, Vec<(usize, Offer)>> = BTreeMap::new();
+        let mut groups: BTreeMap<RelSet, Vec<(usize, &Offer)>> = BTreeMap::new();
         let mut best_per_box: HashMap<(RelSet, Vec<u64>), (usize, f64)> = HashMap::new();
         // The fragment shape expected over each relation subset, derived at
         // the subset's first offer: a pool holds a handful of subsets.
@@ -234,7 +236,7 @@ impl<'a> PlanGenerator<'a> {
                 }
                 OfferKind::PartialAggregate => {
                     if self.usable_partial_agg(o) {
-                        partial_agg.push((i, o.clone()));
+                        partial_agg.push((i, o));
                     }
                     continue;
                 }
@@ -258,10 +260,7 @@ impl<'a> PlanGenerator<'a> {
             }
         }
         for ((subset, _), (i, _)) in best_per_box {
-            groups
-                .entry(subset)
-                .or_default()
-                .push((i, offers[i].clone()));
+            groups.entry(subset).or_default().push((i, &offers[i]));
         }
 
         // ---- Per-subset assemblies --------------------------------------
@@ -269,8 +268,7 @@ impl<'a> PlanGenerator<'a> {
         let mut by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
         let p = &self.config.cost_params;
         for (&subset, group) in &groups {
-            let refs: Vec<&(usize, Offer)> = group.iter().collect();
-            let Some(chosen) = self.greedy_cover(&refs, subset, &space, &mut considered) else {
+            let Some(chosen) = self.greedy_cover(group, subset, &space, &mut considered) else {
                 continue;
             };
             let rows: f64 = chosen.iter().map(|&i| offers[i].props.rows).sum();
@@ -281,17 +279,20 @@ impl<'a> PlanGenerator<'a> {
                 cost += p.union(rows) * self.cpu();
                 Skel::Union(chosen)
             };
-            insert_entry(&mut table, &mut by_size, subset, Entry { skel, cost, rows });
+            // One group per subset: always a new table entry.
+            table.insert(subset, Entry { skel, cost, rows });
+            by_size[subset.len()].push(subset);
         }
 
         // ---- DP joins over subsets --------------------------------------
         for size in 2..=n {
+            // A join of `size` relations only ever adds masks of that size,
+            // so the smaller sizes' lists can be read while it grows.
+            let (smaller, same_size) = by_size.split_at_mut(size);
             for s1 in 1..=size / 2 {
                 let s2 = size - s1;
-                let left_masks = by_size[s1].clone();
-                let right_masks = by_size[s2].clone();
-                for &m1 in &left_masks {
-                    for &m2 in &right_masks {
+                for &m1 in &smaller[s1] {
+                    for &m2 in &smaller[s2] {
                         if !m1.is_disjoint(m2) || (s1 == s2 && m1 >= m2) {
                             continue;
                         }
@@ -299,8 +300,15 @@ impl<'a> PlanGenerator<'a> {
                         let (Some(l), Some(r)) = (table.get(&m1), table.get(&m2)) else {
                             continue;
                         };
-                        let (eq_keys, residual) = self.connecting_preds(&q_core, m1, m2, &space);
-                        let (out_rows, join_cost) = if !eq_keys.is_empty() {
+                        let (mut has_eq, mut has_residual) = (false, false);
+                        for (_, _, p) in connecting(&q_core, m1, m2, &space) {
+                            if p.op == CompOp::Eq {
+                                has_eq = true;
+                            } else {
+                                has_residual = true;
+                            }
+                        }
+                        let (out_rows, join_cost) = if has_eq {
                             (
                                 l.rows.max(r.rows),
                                 p.hash_join(
@@ -314,8 +322,15 @@ impl<'a> PlanGenerator<'a> {
                             (out, p.nl_join(l.rows, r.rows, out) * self.cpu())
                         };
                         let mut cost = l.cost + r.cost + join_cost;
-                        if !residual.is_empty() && !eq_keys.is_empty() {
+                        if has_residual && has_eq {
                             cost += p.filter(out_rows) * self.cpu();
+                        }
+                        // Most candidates lose to the entry already there:
+                        // only a winner's skeleton (two sub-tree copies) is
+                        // built.
+                        let mask = m1.union(m2);
+                        if matches!(table.get(&mask), Some(e) if e.cost <= cost) {
+                            continue;
                         }
                         let entry = Entry {
                             skel: Skel::Join {
@@ -327,7 +342,9 @@ impl<'a> PlanGenerator<'a> {
                             cost,
                             rows: out_rows,
                         };
-                        insert_entry(&mut table, &mut by_size, m1.union(m2), entry);
+                        if table.insert(mask, entry).is_none() {
+                            same_size[0].push(mask);
+                        }
                     }
                 }
             }
@@ -374,8 +391,9 @@ impl<'a> PlanGenerator<'a> {
         }
 
         if !partial_agg.is_empty() {
-            let refs: Vec<&(usize, Offer)> = partial_agg.iter().collect();
-            if let Some(chosen) = self.greedy_cover(&refs, full_mask, &space, &mut considered) {
+            if let Some(chosen) =
+                self.greedy_cover(&partial_agg, full_mask, &space, &mut considered)
+            {
                 let rows_in: f64 = chosen.iter().map(|&i| offers[i].props.rows).sum();
                 let mut cost: f64 = chosen.iter().map(|&i| self.score(&offers[i])).sum();
                 let mut compute = 0.0;
@@ -534,33 +552,21 @@ impl<'a> PlanGenerator<'a> {
         Some(subset)
     }
 
+    /// The equi-join keys `(left column, right column)` and the residual
+    /// join predicates between two sides, for the join that is materialized.
     fn connecting_preds(
-        &self,
         q_core: &Query,
         left: RelSet,
         right: RelSet,
         space: &RelSpace,
-    ) -> (Vec<(Col, Col)>, Vec<qt_query::Predicate>) {
-        let side =
-            |set: RelSet, rel: RelId| space.index.get(&rel).is_some_and(|&i| set.contains(i));
+    ) -> (Vec<(Col, Col)>, Vec<Predicate>) {
         let mut eq = Vec::new();
         let mut residual = Vec::new();
-        for p in q_core.join_predicates() {
-            let Operand::Col(rc) = &p.right else { continue };
-            let (a, b) = (p.left, *rc);
-            let pair = if side(left, a.rel) && side(right, b.rel) {
-                Some((a, b))
-            } else if side(left, b.rel) && side(right, a.rel) {
-                Some((b, a))
+        for (l, r, p) in connecting(q_core, left, right, space) {
+            if p.op == CompOp::Eq {
+                eq.push((l, r));
             } else {
-                None
-            };
-            if let Some((l, r)) = pair {
-                if p.op == CompOp::Eq {
-                    eq.push((l, r));
-                } else {
-                    residual.push(p.clone());
-                }
+                residual.push(p.clone());
             }
         }
         (eq, residual)
@@ -605,7 +611,7 @@ impl<'a> PlanGenerator<'a> {
                 let l = self.materialize_skel(left, q_core, space, offers, purchases, slot_of);
                 let r = self.materialize_skel(right, q_core, space, offers, purchases, slot_of);
                 let (eq_keys, residual) =
-                    self.connecting_preds(q_core, *left_rels, *right_rels, space);
+                    Self::connecting_preds(q_core, *left_rels, *right_rels, space);
                 let mut plan = if eq_keys.is_empty() {
                     PhysPlan::NlJoin {
                         left: Box::new(l),
@@ -753,20 +759,27 @@ fn buy_slot(
     })
 }
 
-fn insert_entry(
-    table: &mut HashMap<RelSet, Entry>,
-    by_size: &mut [Vec<RelSet>],
-    mask: RelSet,
-    entry: Entry,
-) {
-    match table.get(&mask) {
-        Some(e) if e.cost <= entry.cost => {}
-        Some(_) => {
-            table.insert(mask, entry);
+/// The join predicates of `q_core` with one column on each side, oriented
+/// `(left side's column, right side's column, predicate)`.
+fn connecting<'q>(
+    q_core: &'q Query,
+    left: RelSet,
+    right: RelSet,
+    space: &'q RelSpace,
+) -> impl Iterator<Item = (Col, Col, &'q Predicate)> + 'q {
+    let side =
+        move |set: RelSet, rel: RelId| space.index.get(&rel).is_some_and(|&i| set.contains(i));
+    q_core.join_predicates().filter_map(move |p| {
+        let Operand::Col(rc) = &p.right else {
+            return None;
+        };
+        let (a, b) = (p.left, *rc);
+        if side(left, a.rel) && side(right, b.rel) {
+            Some((a, b, p))
+        } else if side(left, b.rel) && side(right, a.rel) {
+            Some((b, a, p))
+        } else {
+            None
         }
-        None => {
-            by_size[mask.len()].push(mask);
-            table.insert(mask, entry);
-        }
-    }
+    })
 }

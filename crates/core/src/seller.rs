@@ -10,7 +10,7 @@ use qt_query::views::match_view;
 use qt_query::{rewrite_for_holdings, MaterializedView, Query};
 use qt_trade::semcache::{CacheStats, Probe, ProbeOutcome, SemCache};
 use qt_trade::SessionId;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A seller's reply to one RFB.
@@ -101,21 +101,54 @@ pub struct SellerEngine {
     contracts: std::collections::BTreeSet<u64>,
     config: QtConfig,
     next_offer: u64,
-    /// Per-session offer-id counters for the multiplexed serving path: a
-    /// session's ids depend only on that session's own request sequence, so
-    /// a query traded concurrently with others receives bit-identical offer
-    /// ids to the same query traded alone.
-    session_offers: std::collections::HashMap<SessionId, u64>,
+    /// What the multiplexed serving path remembers per session (offer-id
+    /// counter, reply memo), for the [`SELLER_SESSION_MEMORY`] most recent
+    /// sessions: a winner is told when its session ends and forgets it
+    /// ([`forget_session`](Self::forget_session)), a loser never hears of it
+    /// again, so the oldest session makes room for the newest.
+    sessions: BTreeMap<SessionId, SessionMemo>,
     /// Memoized RFB replies, keyed by [`cache_key`](Self::cache_key). With
     /// `config.enable_semantic_cache`, an exact-key miss falls back to the
     /// §3.5 view matcher over the cached queries and *derives* offers for
     /// the subsumed request from a cached reply (see
     /// [`derive_offers`](Self::derive_offers)).
     offer_cache: SemCache<Vec<Offer>>,
-    /// Request-id → the exact reply already sent. Distinct from the offer
-    /// cache: a dedup hit resends *identical* offers (same ids) so the buyer
-    /// can discard the duplicate, whereas an offer-cache hit mints fresh ids.
-    rfb_replies: std::collections::HashMap<u64, Vec<Offer>>,
+}
+
+/// How many sessions a seller remembers at once: far more than any buyer
+/// keeps in flight, so a live session is never the one evicted.
+pub(crate) const SELLER_SESSION_MEMORY: usize = 1024;
+
+/// One session's state at a seller.
+#[derive(Default)]
+struct SessionMemo {
+    /// The session's own offer-id sequence: its ids depend only on that
+    /// session's request sequence, so a query traded concurrently with
+    /// others receives bit-identical offer ids to the same query traded
+    /// alone.
+    next_offer: u64,
+    /// `(request id, the exact reply already sent)` per answered round — a
+    /// handful. Distinct from the offer cache: a dedup hit resends
+    /// *identical* offers (same ids) so the buyer can discard the duplicate,
+    /// whereas an offer-cache hit mints fresh ids.
+    replies: Vec<(u64, Vec<Offer>)>,
+}
+
+/// Stamp `offers` with `round` and consecutive ids from `next` in `node`'s
+/// id space, appending them to `out`.
+fn stamp_into(
+    out: &mut Vec<Offer>,
+    offers: impl IntoIterator<Item = Offer>,
+    node: NodeId,
+    round: u32,
+    next: &mut u64,
+) {
+    for mut o in offers {
+        o.id = ((node.0 as u64) << 32) | *next;
+        *next += 1;
+        o.round = round;
+        out.push(o);
+    }
 }
 
 impl SellerEngine {
@@ -140,9 +173,8 @@ impl SellerEngine {
             contracts: std::collections::BTreeSet::new(),
             config,
             next_offer: 0,
-            session_offers: std::collections::HashMap::new(),
+            sessions: BTreeMap::new(),
             offer_cache,
-            rfb_replies: std::collections::HashMap::new(),
         }
     }
 
@@ -205,22 +237,9 @@ impl SellerEngine {
         o
     }
 
-    fn fresh_id(&mut self) -> u64 {
-        let id = ((self.node.0 as u64) << 32) | self.next_offer;
-        self.next_offer += 1;
-        id
-    }
-
-    /// Offer id drawn from `session`'s own counter. Ids from different
-    /// sessions at the same seller may collide numerically — offers only
-    /// ever meet inside one session's buyer engine, where the per-session
-    /// sequence keeps them unique — and that is the point: the id stream a
-    /// session observes is independent of what other sessions trade.
-    fn fresh_session_id(&mut self, session: SessionId) -> u64 {
-        let ctr = self.session_offers.entry(session).or_insert(0);
-        let id = ((self.node.0 as u64) << 32) | *ctr;
-        *ctr += 1;
-        id
+    /// Sessions currently remembered (offer-id counter and reply memo).
+    pub(crate) fn remembered_sessions(&self) -> usize {
+        self.sessions.len()
     }
 
     /// Delivery properties for a result of `rows × width` bytes costing
@@ -247,7 +266,7 @@ impl SellerEngine {
         Offer {
             id: 0,
             seller: self.node,
-            query,
+            query: query.into(),
             true_cost: self.config.valuation.score(&true_props),
             props: ask,
             kind,
@@ -335,13 +354,18 @@ impl SellerEngine {
             self.lookup_or_eval(round, &item.query, hints)
         });
         let mut resp = SellerResponse::default();
+        let mut next = self.next_offer;
         for ((key, reply), item) in replies.into_iter().zip(items) {
             let offers = match reply {
                 ItemReply::Exact => {
                     self.cache_hits += 1;
                     self.offer_cache.record(ProbeOutcome::HitExact);
                     match self.offer_cache.get(key.key) {
-                        Some(e) => e.value.clone(),
+                        Some(e) => {
+                            let cached = e.value.iter().cloned();
+                            stamp_into(&mut resp.offers, cached, self.node, round, &mut next);
+                            continue;
+                        }
                         // Evicted between probe and merge by an earlier
                         // item's insertion (bounded cache): recompute.
                         None => {
@@ -365,12 +389,9 @@ impl SellerEngine {
                     r.offers
                 }
             };
-            for mut o in offers {
-                o.id = self.fresh_id();
-                o.round = round;
-                resp.offers.push(o);
-            }
+            stamp_into(&mut resp.offers, offers, self.node, round, &mut next);
         }
+        self.next_offer = next;
         self.total_effort += resp.effort;
         resp
     }
@@ -454,7 +475,7 @@ impl SellerEngine {
                 frag
             };
             let mut d = o.clone();
-            d.query = derived_query;
+            d.query = derived_query.into();
             d.round = round;
             out.push(d);
         }
@@ -491,7 +512,7 @@ impl SellerEngine {
         // Each scheduled entry's item keys, in item order, for the merge.
         let mut entry_keys: Vec<Vec<ItemKey>> = Vec::with_capacity(entries.len());
         for e in entries {
-            if self.rfb_replies.contains_key(&e.req) {
+            if self.memoised_reply(e).is_some() {
                 entry_keys.push(Vec::new());
                 continue;
             }
@@ -553,15 +574,14 @@ impl SellerEngine {
             computed.into_iter().collect();
         let mut out = Vec::with_capacity(entries.len());
         for (e, keys) in entries.iter().zip(entry_keys) {
-            if let Some(offers) = self.rfb_replies.get(&e.req) {
+            if let Some(offers) = self.memoised_reply(e) {
+                let offers = offers.clone();
                 self.duplicate_rfbs += 1;
-                out.push(SellerResponse {
-                    offers: offers.clone(),
-                    effort: 0,
-                });
+                out.push(SellerResponse { offers, effort: 0 });
                 continue;
             }
             let mut resp = SellerResponse::default();
+            let mut next = self.sessions.get(&e.session).map_or(0, |m| m.next_offer);
             for (item, item_key) in e.items.iter().zip(keys) {
                 let key = item_key.key;
                 let offers = if let Some(r) = fresh.remove(&key) {
@@ -579,7 +599,11 @@ impl SellerEngine {
                     self.cache_hits += 1;
                     self.offer_cache.record(ProbeOutcome::HitExact);
                     match self.offer_cache.get(key) {
-                        Some(en) => en.value.clone(),
+                        Some(en) => {
+                            let cached = en.value.iter().cloned();
+                            stamp_into(&mut resp.offers, cached, self.node, e.round, &mut next);
+                            continue;
+                        }
                         // Evicted/rejected between probe and merge under a
                         // bounded capacity: recompute serially.
                         None => {
@@ -589,26 +613,31 @@ impl SellerEngine {
                         }
                     }
                 };
-                for mut o in offers {
-                    o.id = self.fresh_session_id(e.session);
-                    o.round = e.round;
-                    resp.offers.push(o);
-                }
+                stamp_into(&mut resp.offers, offers, self.node, e.round, &mut next);
             }
             self.total_effort += resp.effort;
-            self.rfb_replies.insert(e.req, resp.offers.clone());
+            let memo = self.sessions.entry(e.session).or_default();
+            memo.next_offer = next;
+            memo.replies.push((e.req, resp.offers.clone()));
+            while self.sessions.len() > SELLER_SESSION_MEMORY {
+                self.sessions.pop_first();
+            }
             out.push(resp);
         }
         out
     }
 
-    /// Drop the per-session offer-id counter and reply memos of a finished
-    /// session so long-running serving processes don't accumulate state for
-    /// sessions that will never speak again.
+    /// The reply already sent for `e`'s request id, if still remembered.
+    fn memoised_reply(&self, e: &SessionRfb) -> Option<&Vec<Offer>> {
+        let memo = self.sessions.get(&e.session)?;
+        memo.replies.iter().find(|r| r.0 == e.req).map(|r| &r.1)
+    }
+
+    /// Drop the offer-id counter, reply memos and leases of a finished
+    /// session. Reached at the sellers a session awarded (or released); the
+    /// others age the session out of [`SELLER_SESSION_MEMORY`].
     pub fn forget_session(&mut self, session: SessionId) {
-        self.session_offers.remove(&session);
-        self.rfb_replies
-            .retain(|&req, _| (req >> 32) != session.0 + 1);
+        self.sessions.remove(&session);
         self.contracts.retain(|&c| (c >> 32) != session.0 + 1);
     }
 
@@ -652,25 +681,29 @@ impl SellerEngine {
             // S2.2: modified DP — optimal k-way partials become offers.
             let (partials, effort) = optimizer.partial_results(&q_local, self.config.max_partial_k);
             resp.effort += effort;
-            for p in &partials {
+            // Each partial's sub-query moves into its offer; its plan is
+            // never built — an offer promises rows, not a plan.
+            let first = resp.offers.len();
+            for p in partials {
                 let props = self.delivery_props(p.cost, p.rows, p.width);
                 resp.offers
-                    .push(self.make_offer(round, p.query.clone(), props, OfferKind::Rows));
+                    .push(self.make_offer(round, p.query, props, OfferKind::Rows));
             }
             // Per-partition sub-offers for multi-partition single-relation
             // fragments: replicas overlap across sellers, and the buyer can
             // only union *disjoint* fragments — singleton-partition offers
             // guarantee an exact tiling always exists.
-            for p in &partials {
-                if p.query.num_relations() != 1 {
+            for i in first..resp.offers.len() {
+                let whole = resp.offers[i].query.clone();
+                if whole.num_relations() != 1 {
                     continue;
                 }
-                let (&rel, parts) = p.query.relations.iter().next().expect("one relation");
+                let (&rel, parts) = whole.relations.iter().next().expect("one relation");
                 if parts.len() <= 1 {
                     continue;
                 }
                 for idx in parts.iter() {
-                    let sub = p.query.with_partset(rel, qt_query::PartSet::single(idx));
+                    let sub = whole.with_partset(rel, qt_query::PartSet::single(idx));
                     let o = optimizer.optimize(&sub);
                     resp.effort += o.effort;
                     let props = self.delivery_props(o.cost, o.rows, o.width);
@@ -755,7 +788,7 @@ impl SellerEngine {
         optimizer: &LocalOptimizer<'_, NodeHoldings>,
     ) -> Option<(Offer, u64)> {
         let q_core = q.strip_aggregation();
-        let mut subs: Vec<(NodeId, Query)> = Vec::new();
+        let mut subs = Vec::new();
         let mut sub_delivery = 0.0f64;
         let mut sub_price = 0.0f64;
         let mut sub_rows = 0.0f64;
@@ -826,7 +859,7 @@ impl SellerEngine {
         Some(Offer {
             id: 0, // stamped in respond_with_hints' merge step
             seller: self.node,
-            query: q.clone(),
+            query: q.clone().into(),
             true_cost: self.config.valuation.score(&props),
             props: ask,
             kind: OfferKind::FromView,
@@ -861,24 +894,21 @@ impl SellerEngine {
         }
     }
 
-    /// Award observation keyed by the awarded offer's id, as carried by the
-    /// wire `Award` messages: the invalidation scope is resolved from this
-    /// seller's own reply memos (the union over every memoized offer with
-    /// that id, so the result is independent of map iteration order). An id
-    /// the memos no longer know falls back to the conservative full clear.
-    pub fn observe_award_for_offer(&mut self, won: bool, offer_id: u64) {
-        let mut rels: BTreeSet<RelId> = BTreeSet::new();
-        let mut found = false;
-        for offers in self.rfb_replies.values() {
-            for o in offers.iter().filter(|o| o.id == offer_id) {
-                found = true;
-                rels.extend(o.query.rel_ids());
+    /// Award observation keyed by `(session, offer id)`, as carried by the
+    /// wire `Award` messages: the invalidation scope is resolved from the
+    /// session's own reply memo (offer ids are per-session sequences). An id
+    /// the memo no longer knows falls back to the conservative full clear.
+    pub fn observe_award_for_offer(&mut self, won: bool, session: SessionId, offer_id: u64) {
+        let awarded = self.sessions.get(&session).and_then(|m| {
+            let mut replies = m.replies.iter().flat_map(|r| &r.1);
+            replies.find(|o| o.id == offer_id)
+        });
+        match awarded {
+            Some(o) => {
+                let rels: BTreeSet<RelId> = o.query.rel_ids().collect();
+                self.observe_award_scoped(won, &rels);
             }
-        }
-        if found {
-            self.observe_award_scoped(won, &rels);
-        } else {
-            self.observe_award(won);
+            None => self.observe_award(won),
         }
     }
 }
@@ -921,7 +951,7 @@ mod tests {
         AttrType, Catalog, CatalogBuilder, PartId, PartitionStats, Partitioning, RelationSchema,
         Value,
     };
-    use qt_query::{parse_query, PartSet};
+    use qt_query::{parse_query, PartSet, SharedQuery};
 
     /// The telecom setup: customer partitioned over 3 offices, invoiceline
     /// held fully by Myconos (node 2) and Athens (node 0).
@@ -1194,6 +1224,65 @@ mod tests {
     }
 
     #[test]
+    fn cached_replied_and_memoised_offers_share_one_query_allocation() {
+        let cat = catalog();
+        let q = motivating(&cat);
+        let mut seller = SellerEngine::new(cat.holdings_of(NodeId(2)), QtConfig::default());
+        let first = seller.respond_batch(&[entry(0, &q)]).remove(0);
+        let key = seller.cache_key(&q, &[]).key;
+        let cached = &seller.offer_cache.get(key).expect("reply cached").value;
+        let memoised = seller
+            .memoised_reply(&entry(0, &q))
+            .expect("reply memoised");
+        assert_eq!(
+            (cached.len(), memoised.len()),
+            (first.offers.len(), first.offers.len())
+        );
+        for ((replied, cached), memoised) in first.offers.iter().zip(cached).zip(memoised) {
+            assert!(SharedQuery::ptr_eq(&replied.query, &cached.query));
+            assert!(SharedQuery::ptr_eq(&replied.query, &memoised.query));
+        }
+        // A later cache hit hands out the same allocations again.
+        let hit = seller.respond_batch(&[entry(1, &q)]).remove(0);
+        assert_eq!(seller.cache_hits, 1);
+        for (a, b) in first.offers.iter().zip(&hit.offers) {
+            assert!(SharedQuery::ptr_eq(&a.query, &b.query));
+        }
+    }
+
+    #[test]
+    fn a_seller_that_never_hears_of_a_session_again_ages_it_out() {
+        let cat = catalog();
+        let q = motivating(&cat);
+        let mut seller = SellerEngine::new(cat.holdings_of(NodeId(2)), QtConfig::default());
+        let ask = |session: u64| SessionRfb {
+            session: SessionId(session),
+            req: session_req(SessionId(session), 0),
+            ..entry(0, &q)
+        };
+        // No award, no release: the seller lost every one of these sessions.
+        let n = SELLER_SESSION_MEMORY as u64 + 10;
+        let first = seller.respond_batch(&[ask(0)]).remove(0);
+        for session in 1..n {
+            seller.respond_batch(&[ask(session)]);
+        }
+        assert_eq!(seller.remembered_sessions(), SELLER_SESSION_MEMORY);
+        assert_eq!(seller.duplicate_rfbs, 0);
+        // The newest session's retransmission is still a dedup hit…
+        seller.respond_batch(&[ask(n - 1)]);
+        assert_eq!(seller.duplicate_rfbs, 1);
+        // …the oldest one's is answered afresh, ids restarting with the
+        // session's forgotten counter.
+        let again = seller.respond_batch(&[ask(0)]).remove(0);
+        assert_eq!(seller.duplicate_rfbs, 1);
+        assert_eq!(again.offers[0].id, first.offers[0].id);
+        assert_eq!(seller.remembered_sessions(), SELLER_SESSION_MEMORY);
+        // A winner is told, and forgets at once.
+        seller.forget_session(SessionId(n - 1));
+        assert_eq!(seller.remembered_sessions(), SELLER_SESSION_MEMORY - 1);
+    }
+
+    #[test]
     fn award_under_adaptive_strategy_invalidates_cache() {
         let cat = catalog();
         let q = motivating(&cat);
@@ -1257,7 +1346,7 @@ mod tests {
         Offer {
             id: 1,
             seller: NodeId(seller),
-            query: q.clone(),
+            query: q.clone().into(),
             true_cost: t,
             props: AnswerProperties::timed(t, 100.0, 1000.0),
             kind: OfferKind::Rows,
@@ -1329,12 +1418,12 @@ mod tests {
         let r_cust = seller.respond_batch(&[entry(0, &q_cust)]).remove(0);
         seller.respond_batch(&[entry(1, &q_inv)]);
         // Award resolved to a customer offer id: only that entry drops.
-        seller.observe_award_for_offer(true, r_cust.offers[0].id);
+        seller.observe_award_for_offer(true, SessionId(0), r_cust.offers[0].id);
         seller.respond(1, &rfb(&q_inv));
         seller.respond(1, &rfb(&q_cust));
         assert_eq!((seller.cache_hits, seller.cache_misses), (1, 3));
         // An id the memos don't know falls back to the full clear.
-        seller.observe_award_for_offer(true, u64::MAX);
+        seller.observe_award_for_offer(true, SessionId(0), u64::MAX);
         seller.respond(2, &rfb(&q_inv));
         assert_eq!((seller.cache_hits, seller.cache_misses), (1, 4));
     }
@@ -1377,7 +1466,7 @@ mod tests {
         let queries = |r: &SellerResponse| {
             r.offers
                 .iter()
-                .map(|o| o.query.clone())
+                .map(|o| Query::clone(&o.query))
                 .collect::<BTreeSet<Query>>()
         };
         assert_eq!(queries(&derived), queries(&fresh));

@@ -540,11 +540,11 @@ impl Handler<ServeMsg> for ServeNode {
                     // Lifecycle off: one-way notice, exactly the old protocol.
                     // Resolve the invalidation scope from the awarded offer's
                     // reply memo *before* forgetting the session drops it.
-                    engine.observe_award_for_offer(true, offer);
+                    engine.observe_award_for_offer(true, session, offer);
                     engine.forget_session(session);
                 } else {
                     if engine.accept_award(contract) {
-                        engine.observe_award_for_offer(true, offer);
+                        engine.observe_award_for_offer(true, session, offer);
                     }
                     let bytes = engine.config().offer_msg_bytes;
                     ctx.send(
@@ -1729,7 +1729,9 @@ pub(crate) fn serve_on_sim(
     sim.run(100_000_000);
 
     let metrics = sim.metrics.clone();
-    let tally = Tally::of(ids.iter().filter_map(|&id| Some((id, sim.handler(id)?))));
+    // The event queue ran dry: every timer fired.
+    let nodes = ids.iter().filter_map(|&id| Some((id, sim.handler(id)?)));
+    let tally = Tally::of(nodes, true);
     let Some(ServeNode::Buyer(m)) = sim.handler_mut(buyer_node) else {
         panic!("buyer node is not a session manager");
     };
@@ -1799,7 +1801,9 @@ pub fn run_qt_serve_real_with_faults(
         buyer_node,
         |h| matches!(h, ServeNode::Buyer(m) if m.completed.len() == n && m.lifecycles.is_empty()),
     );
-    let tally = Tally::of(out.handlers.iter().map(|(id, h)| (*id, h)));
+    // The run stops with the last session: broker deadline timers may still
+    // be pending.
+    let tally = Tally::of(out.handlers.iter().map(|(id, h)| (*id, h)), false);
     let m = out
         .handlers
         .iter_mut()
@@ -1985,7 +1989,8 @@ fn build_hierarchy(
     tree
 }
 
-/// Counters read off the seller and broker nodes once a run has drained.
+/// Counters read off the seller and broker nodes once a run has drained,
+/// and the drain-time audit of what those nodes still hold.
 #[derive(Default)]
 struct Tally {
     seller_effort: u64,
@@ -1996,11 +2001,20 @@ struct Tally {
 }
 
 impl Tally {
-    fn of<'a>(nodes: impl Iterator<Item = (NodeId, &'a ServeNode)>) -> Tally {
+    /// `timers_drained`: the runtime delivered every scheduled timer, so a
+    /// broker round still open is a leak rather than a pending deadline.
+    fn of<'a>(nodes: impl Iterator<Item = (NodeId, &'a ServeNode)>, timers_drained: bool) -> Tally {
         let mut t = Tally::default();
         for (node, handler) in nodes {
             match handler {
                 ServeNode::Seller(e) => {
+                    // Losing sellers are never told a session ended; their
+                    // per-session state must stay bounded all the same.
+                    assert!(
+                        e.remembered_sessions() <= crate::seller::SELLER_SESSION_MEMORY,
+                        "seller {node} remembers {} sessions",
+                        e.remembered_sessions()
+                    );
                     t.seller_effort += e.total_effort;
                     t.cache_hits += e.cache_hits;
                     t.cache_misses += e.cache_misses;
@@ -2010,16 +2024,22 @@ impl Tally {
                 // Brokers hold routing state only; the buyer's shed counter
                 // is the authoritative one. Promotion bookkeeping lives on
                 // the standbys, though.
-                ServeNode::Broker(b) if b.promotions > 0 => {
-                    t.promotions += b.promotions;
-                    t.promoted_regions.push((
-                        b.promoted_from
-                            .expect("promoted standby records its primary"),
-                        node,
-                        b.promoted_at.unwrap_or(0.0),
-                    ));
+                ServeNode::Broker(b) => {
+                    assert!(
+                        !timers_drained || b.leaked_rounds() == 0,
+                        "broker {node} drained with {} rounds open",
+                        b.leaked_rounds()
+                    );
+                    if b.promotions > 0 {
+                        t.promotions += b.promotions;
+                        t.promoted_regions.push((
+                            b.promoted_from
+                                .expect("promoted standby records its primary"),
+                            node,
+                            b.promoted_at.unwrap_or(0.0),
+                        ));
+                    }
                 }
-                ServeNode::Broker(_) => {}
             }
         }
         t.promoted_regions.sort_by_key(|a| (a.0, a.1));
@@ -2051,6 +2071,12 @@ fn finish_serve_outcome(
         "run drained with per-session state still held"
     );
     if let Some(local) = &m.local_seller {
+        // The buyer forgets every session at its own seller side itself.
+        assert_eq!(
+            local.remembered_sessions(),
+            0,
+            "run drained with the local seller remembering sessions"
+        );
         tally.seller_effort += local.total_effort;
         tally.cache_hits += local.cache_hits;
         tally.cache_misses += local.cache_misses;

@@ -240,7 +240,9 @@ impl Wire for Offer {
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let id = r.u64()?;
         let seller = NodeId::get(r)?;
-        let query = get_query(r)?;
+        // A fresh handle: a fingerprint is never taken off the wire, the
+        // receiver hashes what it decoded (once).
+        let query = get_query(r)?.into();
         let props = Wire::get(r)?;
         let true_cost = r.f64()?;
         let kind = OfferKind::get(r)?;
@@ -249,8 +251,7 @@ impl Wire for Offer {
         let mut subcontracts = Vec::with_capacity(n_sub);
         for _ in 0..n_sub {
             let node = NodeId::get(r)?;
-            let q = get_query(r)?;
-            subcontracts.push((node, q));
+            subcontracts.push((node, get_query(r)?.into()));
         }
         Ok(Offer {
             id,
@@ -548,6 +549,7 @@ mod tests {
     use super::*;
     use qt_catalog::Value;
     use qt_cost::AnswerProperties;
+    use qt_query::SharedQuery;
 
     fn sample_query() -> Query {
         Query {
@@ -605,7 +607,7 @@ mod tests {
         Offer {
             id,
             seller: NodeId(3),
-            query: sample_query(),
+            query: sample_query().into(),
             props: AnswerProperties {
                 total_time: 1.5,
                 first_row_time: 0.25,
@@ -619,7 +621,7 @@ mod tests {
             true_cost: 1.2,
             kind: OfferKind::PartialAggregate,
             round: 2,
-            subcontracts: vec![(NodeId(5), sample_query())],
+            subcontracts: vec![(NodeId(5), sample_query().into())],
         }
     }
 
@@ -641,6 +643,16 @@ mod tests {
         r.finish().expect("no trailing bytes");
         assert_eq!(back, q);
         assert_eq!(back.fingerprint(), q.fingerprint());
+    }
+
+    #[test]
+    fn a_decoded_offer_is_an_equal_query_in_a_new_allocation() {
+        let sent = sample_offer(1);
+        let fingerprint = sent.query.fingerprint();
+        let got = Offer::decode(&sent.encode()).expect("offer decodes");
+        assert_eq!(got.query, sent.query);
+        assert!(!SharedQuery::ptr_eq(&got.query, &sent.query));
+        assert_eq!(got.query.fingerprint(), fingerprint);
     }
 
     #[test]

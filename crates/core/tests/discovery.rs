@@ -24,11 +24,11 @@
 use proptest::prelude::*;
 use qt_catalog::NodeId;
 use qt_core::{
-    query_digest, run_qt_serve, run_qt_serve_with_faults, seller_digest, HierarchyConfig, QtConfig,
-    SellerEngine, ServeConfig, ServeOutcome,
+    query_digest, run_qt_serve, run_qt_serve_with_faults, seller_digest, BrokerTree,
+    HierarchyConfig, QtConfig, SellerEngine, ServeConfig, ServeOutcome,
 };
 use qt_net::FaultPlan;
-use qt_query::Query;
+use qt_query::{Query, SharedQuery};
 use qt_workload::{
     build_federation, gen_arrivals, gen_join_query, synthetic_mix, ArrivalSpec, Federation,
     FederationSpec, QueryShape,
@@ -361,6 +361,55 @@ fn lossless_broker_tier_matches_flat_serve() {
         "k=0 broker aggregation must be lossless"
     );
     assert_eq!(tiered.shed_sessions, 0);
+}
+
+/// The same query traded twice through two broker tiers. The second session
+/// is answered from the sellers' offer caches, so if no hop between a
+/// seller's cache and the buyer's finished plan — reply memo, simulator
+/// message, either broker tier's `pending`/`done`, the buyer's pool, plan
+/// generation, negotiation — deep-copies an offer's query, both sessions'
+/// purchases still point at the allocation the seller's DP made.
+#[test]
+fn offers_cross_two_broker_tiers_without_copying_their_query() {
+    let fed = build_federation(&spec(16, 11));
+    let cfg = QtConfig {
+        seller_timeout: 300.0,
+        ..QtConfig::default()
+    };
+    let remote: Vec<NodeId> = fed.catalog.nodes.iter().copied().skip(1).collect();
+    assert_eq!(fed.catalog.nodes[0], NodeId(0));
+    assert_eq!(
+        BrokerTree::build(&remote, 3, 100).depth,
+        3,
+        "15 sellers under fanout 3: two broker tiers below the buyer"
+    );
+    let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, false, 11);
+    let out = run_qt_serve(
+        NodeId(0),
+        fed.catalog.dict.clone(),
+        vec![(5.0, q.clone()), (6.0, q)],
+        serve_engines(&fed, &cfg),
+        &cfg,
+        &ServeConfig {
+            hierarchy: Some(hier(3)),
+            ..ServeConfig::default()
+        },
+    );
+    assert!(out.metrics.kind_count("agg-offers") > 0);
+    assert_eq!((out.offer_cache_hits > 0, out.reports.len()), (true, 2));
+    let cold = out.reports[0].plan.as_ref().expect("first session plans");
+    let warm = out.reports[1].plan.as_ref().expect("second session plans");
+    assert_eq!(cold.purchases.len(), warm.purchases.len());
+    assert!(cold.purchases.iter().any(|p| p.offer.seller != NodeId(0)));
+    for (c, w) in cold.purchases.iter().zip(&warm.purchases) {
+        assert_eq!((c.offer.seller, c.offer.id), (w.offer.seller, w.offer.id));
+        assert!(
+            SharedQuery::ptr_eq(&c.offer.query, &w.offer.query),
+            "offer {} of {} was copied on its way",
+            c.offer.id,
+            c.offer.seller
+        );
+    }
 }
 
 #[test]

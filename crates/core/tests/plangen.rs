@@ -8,7 +8,7 @@ use qt_catalog::{
 use qt_core::plangen::PlanGenerator;
 use qt_core::{Offer, OfferKind, QtConfig};
 use qt_cost::{AnswerProperties, NodeResources};
-use qt_query::{parse_query, Col, PartSet, Predicate, Query, SelectItem};
+use qt_query::{parse_query, Col, PartSet, Predicate, Query, SelectItem, SharedQuery};
 use std::sync::Arc;
 
 /// r(a,b) with 4 hash partitions, s(a,c) single partition.
@@ -49,13 +49,20 @@ fn frag(id: u64, seller: u32, q: &Query, rel_parts: &[(RelId, PartSet)], time: f
     Offer {
         id,
         seller: NodeId(seller),
-        query: fq,
+        query: fq.into(),
         props: AnswerProperties::timed(time, 10.0, 100.0),
         true_cost: time,
         kind: OfferKind::Rows,
         round: 0,
         subcontracts: vec![],
     }
+}
+
+/// Offer queries are immutable handles: a changed query is a new handle.
+fn reshape(o: &mut Offer, change: impl FnOnce(&mut Query)) {
+    let mut q = Query::clone(&o.query);
+    change(&mut q);
+    o.query = q.into();
 }
 
 fn generator<'a>(
@@ -114,6 +121,11 @@ fn disjoint_fragments_union_and_join() {
     let gen = generator(&d, &q, &cfg).generate(&offers);
     let plan = gen.plan.expect("cover exists");
     assert_eq!(plan.purchases.len(), 3);
+    // A purchase is the pool's offer, not a copy of its query.
+    for p in &plan.purchases {
+        let pooled = offers.iter().find(|o| o.id == p.offer.id).expect("pooled");
+        assert!(SharedQuery::ptr_eq(&p.offer.query, &pooled.query));
+    }
     assert_eq!(
         gen.join_sites.len(),
         1,
@@ -223,12 +235,14 @@ fn foreign_offers_are_ignored() {
     // An offer whose select list does not match the expected fragment (extra
     // predicate → different fragment semantics) must be rejected.
     let mut wrong = frag(1, 1, &q, &[(RelId(0), PartSet::all(4))], 0.1);
-    wrong.query.predicates.push(Predicate::with_const(
-        Col::new(RelId(0), 1),
-        qt_query::CompOp::Gt,
-        5i64,
-    ));
-    wrong.query.canonicalize();
+    reshape(&mut wrong, |q| {
+        q.predicates.push(Predicate::with_const(
+            Col::new(RelId(0), 1),
+            qt_query::CompOp::Gt,
+            5i64,
+        ));
+        q.canonicalize();
+    });
     let offers = vec![
         wrong,
         frag(2, 1, &q, &[(RelId(0), PartSet::all(4))], 3.0),
@@ -253,7 +267,7 @@ fn partial_aggregates_require_matching_shape() {
     let mk_agg = |id: u64, parts: PartSet, time: f64| Offer {
         id,
         seller: NodeId(id as u32),
-        query: q.clone().with_partset(RelId(0), parts),
+        query: q.clone().with_partset(RelId(0), parts).into(),
         props: AnswerProperties::timed(time, 5.0, 40.0),
         true_cost: time,
         kind: OfferKind::PartialAggregate,
@@ -278,7 +292,7 @@ fn partial_aggregates_require_matching_shape() {
     let mk_avg = |id: u64, parts: PartSet| Offer {
         id,
         seller: NodeId(id as u32),
-        query: avg_q.clone().with_partset(RelId(0), parts),
+        query: avg_q.clone().with_partset(RelId(0), parts).into(),
         props: AnswerProperties::timed(0.5, 5.0, 40.0),
         true_cost: 0.5,
         kind: OfferKind::PartialAggregate,
@@ -309,14 +323,18 @@ fn a_good_offer_does_not_vouch_for_later_ones_over_the_same_subset() {
     let cfg = QtConfig::default();
     let r_all = [(RelId(0), PartSet::all(4))];
     let mut foreign_select = frag(2, 1, &q, &r_all, 0.1);
-    foreign_select.query.select.pop();
+    reshape(&mut foreign_select, |q| {
+        q.select.pop();
+    });
     let mut extra_predicate = frag(3, 1, &q, &r_all, 0.1);
-    extra_predicate.query.predicates.push(Predicate::with_const(
-        Col::new(RelId(0), 1),
-        qt_query::CompOp::Gt,
-        5i64,
-    ));
-    extra_predicate.query.canonicalize();
+    reshape(&mut extra_predicate, |q| {
+        q.predicates.push(Predicate::with_const(
+            Col::new(RelId(0), 1),
+            qt_query::CompOp::Gt,
+            5i64,
+        ));
+        q.canonicalize();
+    });
     let offers = vec![
         frag(1, 1, &q, &r_all, 3.0),
         foreign_select,

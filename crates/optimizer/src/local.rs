@@ -6,7 +6,9 @@
 //! never deep-clones a plan tree. Cardinalities come from a
 //! [`SubsetCardMemo`] that computes each relation profile and each subset's
 //! join rows exactly once. Boxed [`PhysPlan`] trees are materialized only at
-//! the output boundary, for the plans that actually survive. The retained
+//! the output boundary, for the plans that actually survive — and for
+//! partial results only when somebody asks ([`PartialResult::plan`]): a
+//! seller prices them and never does. The retained
 //! tree-cloning implementation ([`crate::ReferenceOptimizer`]) produces
 //! bit-identical results and exists to prove it.
 
@@ -16,6 +18,7 @@ use qt_cost::{CardinalityEstimator, CostParams, NodeResources, StatsSource, Subs
 use qt_exec::{AggSpec, ArenaPlan, PhysPlan, PlanArena, PlanId};
 use qt_query::{Col, CompOp, Operand, Predicate, Query, SelectItem};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A fully optimized local plan.
 #[derive(Debug, Clone)]
@@ -39,14 +42,33 @@ pub struct Optimized {
 pub struct PartialResult {
     /// The sub-query this partial answers (restricted SPJ core).
     pub query: Query,
-    /// Its local physical plan (output in `query.select` order).
-    pub plan: PhysPlan,
     /// Local cost in node-seconds.
     pub cost: f64,
     /// Estimated output rows.
     pub rows: f64,
     /// Estimated output row width in bytes.
     pub width: f64,
+    /// The enumeration's arena, shared by all of its partial results, and
+    /// this partial's winning entry in it.
+    arena: Arc<PlanArena>,
+    root: PlanId,
+}
+
+impl PartialResult {
+    /// The local physical plan (output in `query.select` order), built on
+    /// demand from the enumeration's arena.
+    pub fn plan(&self) -> PhysPlan {
+        let cols: Vec<Col> = self
+            .query
+            .select
+            .iter()
+            .map(|s| s.col().expect("SPJ core has only plain columns"))
+            .collect();
+        PhysPlan::Project {
+            input: Box::new(self.arena.materialize(self.root)),
+            cols,
+        }
+    }
 }
 
 /// Everything one enumeration run produces: the Pareto table (over arena
@@ -530,6 +552,7 @@ impl<'a, S: StatsSource> LocalOptimizer<'a, S> {
         } = self.enumerate(q);
         let n = rels.len();
         let cpu = self.resources.cpu_factor();
+        let arena = Arc::new(arena);
         let mut out = Vec::new();
         for (mask, entry) in table.iter() {
             let size = mask.count_ones() as usize;
@@ -543,23 +566,15 @@ impl<'a, S: StatsSource> LocalOptimizer<'a, S> {
                 .map(|(_, &r)| r)
                 .collect();
             let sub_query = q.restrict_to_rels(&subset);
-            let cols: Vec<Col> = sub_query
-                .select
-                .iter()
-                .map(|s| s.col().expect("SPJ core has only plain columns"))
-                .collect();
             let width = memo.subset_width(&sub_query);
-            let plan = PhysPlan::Project {
-                input: Box::new(arena.materialize(entry.plan)),
-                cols,
-            };
             let cost = entry.cost + self.params.filter(entry.rows) * cpu;
             out.push(PartialResult {
                 query: sub_query,
-                plan,
                 cost,
                 rows: entry.rows,
                 width,
+                arena: Arc::clone(&arena),
+                root: entry.plan,
             });
         }
         // Deterministic order: by subset size then query.
@@ -775,7 +790,7 @@ mod tests {
         assert_eq!(partials.len(), 7);
         // Every partial's plan computes its sub-query.
         for p in &partials {
-            let plan_out = execute(&p.plan, &store, &[]).unwrap();
+            let plan_out = execute(&p.plan(), &store, &[]).unwrap();
             let ref_out = evaluate_query(&p.query, &store).unwrap();
             assert!(
                 same_rows(&plan_out, &ref_out),

@@ -11,12 +11,29 @@
 //! used on any production path.
 
 use crate::dp::{order_covers, DpEntry, DpTable, JoinEnumerator};
-use crate::local::{Optimized, PartialResult};
+use crate::local::Optimized;
 use qt_catalog::{PartId, RelId};
 use qt_cost::{CardinalityEstimator, CostParams, NodeResources, StatsSource};
 use qt_exec::{AggSpec, PhysPlan};
 use qt_query::{Col, CompOp, Operand, Predicate, Query, SelectItem};
 use std::collections::BTreeSet;
+
+/// One partial result as the reference builds it: plan materialized up
+/// front (the production [`crate::PartialResult`] builds its plan on demand;
+/// the equivalence suite compares the two).
+#[derive(Debug, Clone)]
+pub struct ReferencePartial {
+    /// The sub-query this partial answers (restricted SPJ core).
+    pub query: Query,
+    /// Its local physical plan (output in `query.select` order).
+    pub plan: PhysPlan,
+    /// Local cost in node-seconds.
+    pub cost: f64,
+    /// Estimated output rows.
+    pub rows: f64,
+    /// Estimated output row width in bytes.
+    pub width: f64,
+}
 
 /// The frozen tree-cloning optimizer. Mirrors [`crate::LocalOptimizer`]'s
 /// configuration surface.
@@ -447,7 +464,7 @@ impl<'a, S: StatsSource> ReferenceOptimizer<'a, S> {
     /// The original `partial_results`: constructs a fresh estimator and
     /// calls `estimate()` inside the per-subset loop. See
     /// [`crate::LocalOptimizer::partial_results`].
-    pub fn partial_results(&self, q: &Query, max_k: usize) -> (Vec<PartialResult>, u64) {
+    pub fn partial_results(&self, q: &Query, max_k: usize) -> (Vec<ReferencePartial>, u64) {
         let (table, rels, effort) = self.enumerate(q);
         let n = rels.len();
         let cpu = self.resources.cpu_factor();
@@ -478,7 +495,7 @@ impl<'a, S: StatsSource> ReferenceOptimizer<'a, S> {
                 cols,
             };
             let cost = entry.cost + self.params.filter(entry.rows) * cpu;
-            out.push(PartialResult {
+            out.push(ReferencePartial {
                 query: sub_query,
                 plan,
                 cost,

@@ -63,7 +63,7 @@ fn assert_partials_equivalent<S: StatsSource>(src: &S, q: &Query, e: JoinEnumera
             "sub-query order ({}, k={max_k})",
             e.label()
         );
-        assert_eq!(n.plan, o.plan, "partial plan ({}, k={max_k})", e.label());
+        assert_eq!(n.plan(), o.plan, "partial plan ({}, k={max_k})", e.label());
         assert_eq!(n.cost.to_bits(), o.cost.to_bits(), "partial cost bits");
         assert_eq!(n.rows.to_bits(), o.rows.to_bits(), "partial rows bits");
         assert_eq!(n.width.to_bits(), o.width.to_bits(), "partial width bits");

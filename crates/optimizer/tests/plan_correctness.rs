@@ -145,7 +145,7 @@ proptest! {
         let opt = LocalOptimizer::new(&cat);
         let (partials, _) = opt.partial_results(&q, max_k);
         for p in &partials {
-            let got = execute(&p.plan, &store, &[]).unwrap();
+            let got = execute(&p.plan(), &store, &[]).unwrap();
             let want = evaluate_query(&p.query, &store).unwrap();
             prop_assert!(
                 same_rows(&got, &want),

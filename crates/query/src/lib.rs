@@ -11,6 +11,8 @@
 //!   need;
 //! * [`partset`] — compact partition-subset bitsets, the representation of
 //!   "the part of the data the seller actually has" (§3.4);
+//! * [`shared`] — [`SharedQuery`], the immutable reference-counted handle
+//!   (with a memoised fingerprint) under which an offer's query travels;
 //! * [`sql`] — a recursive-descent parser for the SQL subset used in examples
 //!   and tests;
 //! * [`rewrite`] — the seller-side query-rewriting algorithm of §3.4
@@ -32,6 +34,7 @@ pub mod partset;
 pub mod predicate;
 pub mod query;
 pub mod rewrite;
+pub mod shared;
 pub mod sql;
 pub mod views;
 
@@ -40,5 +43,6 @@ pub use partset::PartSet;
 pub use predicate::{Col, CompOp, Operand, Predicate};
 pub use query::{AggFunc, Query, QueryError, SelectItem};
 pub use rewrite::rewrite_for_holdings;
+pub use shared::SharedQuery;
 pub use sql::{parse_query, ParseError};
 pub use views::{MaterializedView, ViewMatch};
