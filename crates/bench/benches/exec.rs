@@ -1,0 +1,148 @@
+//! Criterion micro-benches for the columnar executor, one per place the
+//! answer path spends its time: scanning a partition's resident column
+//! image, handing a seller fragment's batches to the buyer assembly, the
+//! `Int`-keyed join table, and grouping by a string and by an integer key.
+//! All on `tpch_federation` at 40 000 orders (160 k lineitems), the
+//! `answer_tpch` workload's scale.
+
+use criterion::{criterion_group, criterion_main, Criterion};
+use qt_catalog::{PartId, RelId};
+use qt_exec::{
+    execute_columnar_batches, AggSpec, ColBatch, ColumnarConfig, DataStore, PhysPlan, RowSource,
+};
+use qt_query::{AggFunc, Col};
+use qt_workload::tpch::{tpch_federation, TpchSpec};
+
+fn scan(rel: RelId, part: u16, arity: usize) -> PhysPlan {
+    PhysPlan::Scan {
+        part: PartId::new(rel, part),
+        arity,
+    }
+}
+
+fn hash_join(left: PhysPlan, right: PhysPlan, l: Col, r: Col) -> PhysPlan {
+    PhysPlan::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        left_keys: vec![l],
+        right_keys: vec![r],
+    }
+}
+
+fn run(plan: &PhysPlan, source: &dyn RowSource, inputs: &[Vec<ColBatch>]) -> Vec<ColBatch> {
+    execute_columnar_batches(plan, source, inputs, &ColumnarConfig::default())
+        .expect("plan executes")
+        .0
+}
+
+fn bench_exec(c: &mut Criterion) {
+    // The executor sizes its fan-out from `qt-par`; one worker, as qtbench.
+    std::env::set_var("QT_THREADS", "1");
+    let (_, stores, rels) = tpch_federation(&TpchSpec {
+        nodes: 8,
+        orders: 40_000,
+        seed: 42,
+        ..TpchSpec::default()
+    });
+    let mut all = DataStore::new();
+    for s in stores.values() {
+        all.merge_from(s);
+    }
+    let empty = DataStore::new();
+    let col = |rel: RelId, attr: usize| Col::new(rel, attr);
+    let lineitem = PhysPlan::Union {
+        inputs: vec![scan(rels.lineitem, 0, 4), scan(rels.lineitem, 1, 4)],
+    };
+
+    // Warm: the first scan of a partition builds its image.
+    run(&lineitem, &all, &[]);
+    let half = scan(rels.lineitem, 0, 4);
+    c.bench_function("scan/lineitem_80k", |b| {
+        b.iter(|| std::hint::black_box(run(&half, &all, &[])));
+    });
+
+    // Two seller fragments each deliver a lineitem partition and the buyer
+    // assembly unions them: the hand-off from fragment output to `Input`
+    // slot and nothing else (the batch entry point returns batches).
+    let fragments = [scan(rels.lineitem, 0, 4), scan(rels.lineitem, 1, 4)];
+    let input = |slot: usize| PhysPlan::Input {
+        slot,
+        schema: (0..4).map(|a| col(rels.lineitem, a)).collect(),
+    };
+    let assembly = PhysPlan::Union {
+        inputs: vec![input(0), input(1)],
+    };
+    c.bench_function("fragment_to_assembly/160k", |b| {
+        b.iter(|| {
+            let delivered: Vec<Vec<ColBatch>> =
+                fragments.iter().map(|f| run(f, &all, &[])).collect();
+            std::hint::black_box(run(&assembly, &empty, &delivered))
+        });
+    });
+
+    // LINES_PER_SUPPLIER_NATION's buyer join: 160 k lineitems on the build
+    // side (~80 rows per key), 2 000 suppliers probing.
+    let supplier_lines = hash_join(
+        lineitem.clone(),
+        scan(rels.supplier, 0, 3),
+        col(rels.lineitem, 1),
+        col(rels.supplier, 0),
+    );
+    c.bench_function("hash_join/build_160k", |b| {
+        b.iter(|| std::hint::black_box(run(&supplier_lines, &all, &[])));
+    });
+
+    // The same join, continued to nation: 160 k rows carrying `nname`.
+    let nname = col(rels.nation, 2);
+    let named = run(
+        &PhysPlan::Project {
+            input: Box::new(hash_join(
+                scan(rels.nation, 0, 3),
+                supplier_lines,
+                col(rels.nation, 0),
+                col(rels.supplier, 1),
+            )),
+            cols: vec![nname],
+        },
+        &all,
+        &[],
+    );
+    let by_name = PhysPlan::HashAggregate {
+        input: Box::new(PhysPlan::Input {
+            slot: 0,
+            schema: vec![nname],
+        }),
+        group_by: vec![nname],
+        aggs: vec![AggSpec {
+            func: AggFunc::Count,
+            arg: None,
+        }],
+    };
+    let delivered = [named];
+    c.bench_function("hash_agg/str_key_160k", |b| {
+        b.iter(|| std::hint::black_box(run(&by_name, &empty, &delivered)));
+    });
+
+    // BIG_ORDER_LINES' shape: a quarter of the lineitems (~32 k rows, ~8 k
+    // distinct orders) summed per order key.
+    let quarter: Vec<ColBatch> = run(&half, &all, &[])
+        .into_iter()
+        .step_by(2)
+        .take(32)
+        .collect();
+    let per_order = PhysPlan::HashAggregate {
+        input: Box::new(input(0)),
+        group_by: vec![col(rels.lineitem, 0)],
+        aggs: vec![AggSpec {
+            func: AggFunc::Sum,
+            arg: Some(col(rels.lineitem, 3)),
+        }],
+    };
+    let delivered = [quarter];
+    c.bench_function("hash_agg/int_key_32k", |b| {
+        b.iter(|| std::hint::black_box(run(&per_order, &empty, &delivered)));
+    });
+}
+
+criterion_group!(benches, bench_exec);
+criterion_main!(benches);

@@ -126,25 +126,13 @@ impl DistributedPlan {
         dict: &SchemaDict,
         stores: &BTreeMap<NodeId, DataStore>,
     ) -> Result<Vec<Table>, ExecError> {
-        let empty = DataStore::new();
         let mut inputs: Vec<Table> = vec![Vec::new(); self.purchases.len()];
         for p in &self.purchases {
             // Sink the naive plan's top-level filter into the join tree:
             // order-preserving, and it keeps scaled fragments from
             // materializing cross products.
             let plan = qt_optimizer::sink_predicates(&naive_plan(dict, &p.offer.query));
-            inputs[p.slot] = if p.offer.subcontracts.is_empty() {
-                let store = stores.get(&p.offer.seller).unwrap_or(&empty);
-                execute(&plan, store, &[])?
-            } else {
-                let mut merged = stores.get(&p.offer.seller).cloned().unwrap_or_default();
-                for (sub, _) in &p.offer.subcontracts {
-                    if let Some(s) = stores.get(sub) {
-                        merged.merge_from(s);
-                    }
-                }
-                execute(&plan, &merged, &[])?
-            };
+            inputs[p.slot] = execute(&plan, &seller_store(&p.offer, stores), &[])?;
         }
         Ok(inputs)
     }
@@ -163,7 +151,10 @@ impl DistributedPlan {
     }
 
     /// Like [`execute_on`](Self::execute_on), but running every seller-side
-    /// plan and the buyer assembly through the columnar executor. Returns
+    /// plan and the buyer assembly through the columnar executor. A
+    /// purchase's answer crosses to the assembly's `Input` slot as the
+    /// column batches the fragment produced — the payload a `Deliver` frame
+    /// would carry — and becomes rows once, at the final result. Returns
     /// the result (bit-identical to `execute_on` — the row executor is the
     /// oracle) plus merged spill counters and per-operator timings, which
     /// feed the `qt_cost::calibrate` loop.
@@ -181,29 +172,32 @@ impl DistributedPlan {
             into.spill_bytes += s.spill_bytes;
             into.timings.extend(s.timings);
         };
-        let mut inputs: Vec<Table> = vec![Vec::new(); self.purchases.len()];
+        let mut inputs: Vec<Vec<qt_exec::ColBatch>> = vec![Vec::new(); self.purchases.len()];
         for p in &self.purchases {
             let plan = qt_optimizer::sink_predicates(&naive_plan(dict, &p.offer.query));
-            let (rows, stats) = if p.offer.subcontracts.is_empty() {
-                let store = stores.get(&p.offer.seller).unwrap_or(&empty);
-                qt_exec::execute_columnar_with_stats(&plan, store, &[], cfg)?
-            } else {
-                let mut merged = stores.get(&p.offer.seller).cloned().unwrap_or_default();
-                for (sub, _) in &p.offer.subcontracts {
-                    if let Some(s) = stores.get(sub) {
-                        merged.merge_from(s);
-                    }
-                }
-                qt_exec::execute_columnar_with_stats(&plan, &merged, &[], cfg)?
-            };
-            inputs[p.slot] = rows;
+            let store = seller_store(&p.offer, stores);
+            let (batches, stats) = qt_exec::execute_columnar_batches(&plan, &store, &[], cfg)?;
+            inputs[p.slot] = batches;
             absorb(stats, &mut merged_stats);
         }
         let (result, stats) =
-            qt_exec::execute_columnar_with_stats(&self.assembly, &empty, &inputs, cfg)?;
+            qt_exec::execute_columnar_batches(&self.assembly, &empty, &inputs, cfg)?;
         absorb(stats, &mut merged_stats);
-        Ok((result, merged_stats))
+        Ok((qt_exec::batches_to_rows(&result), merged_stats))
     }
+}
+
+/// The data a purchased offer is answered from: the seller's store, merged
+/// with its subcontractors' when it bought parts of the answer itself.
+/// Stores share their partitions, so this copies handles, never rows.
+fn seller_store(offer: &Offer, stores: &BTreeMap<NodeId, DataStore>) -> DataStore {
+    let mut store = stores.get(&offer.seller).cloned().unwrap_or_default();
+    for (sub, _) in &offer.subcontracts {
+        if let Some(s) = stores.get(sub) {
+            store.merge_from(s);
+        }
+    }
+    store
 }
 
 fn indent(s: &str, by: usize) -> String {

@@ -850,3 +850,78 @@ fn buyer_hints_surface_cheapest_full_fragments() {
         RoundOutcome::Done | RoundOutcome::Continue(_)
     ));
 }
+
+#[test]
+fn columnar_plans_match_the_row_oracle_on_tpch() {
+    use qt_workload::tpch::{queries, tpch_federation, TpchSpec};
+    let (cat, stores, rels) = tpch_federation(&TpchSpec {
+        nodes: 8,
+        orders: 400,
+        seed: 42,
+        ..TpchSpec::default()
+    });
+    let cfg = QtConfig::default();
+    let columnar = qt_exec::ColumnarConfig::default();
+    let holds =
+        |n: NodeId, part: PartId| stores.get(&n).is_some_and(|s| s.parts().any(|p| p == part));
+    let mut rehomed = 0;
+    for sql in [
+        queries::REVENUE_PER_NATION,
+        queries::BIG_ORDER_LINES,
+        queries::LINES_PER_SUPPLIER_NATION,
+    ] {
+        let q = parse_query(&cat.dict, sql).unwrap();
+        let mut sellers = engines(&cat, &cfg);
+        let out = run_qt_direct(NodeId(0), cat.dict.clone(), &q, &mut sellers, &cfg);
+        let mut plan = out.plan.expect("tpch queries are covered");
+        let want = plan.execute_on(&cat.dict, &stores).unwrap();
+        let (got, stats) = plan
+            .execute_columnar_on(&cat.dict, &stores, &columnar)
+            .unwrap();
+        assert_eq!(got, want, "{sql}");
+        // Fragments run first and scan; the assembly follows and starts
+        // from its `Input` slots, one timing per slot.
+        let ops: Vec<&str> = stats.timings.iter().map(|t| t.op).collect();
+        let first_input = ops
+            .iter()
+            .position(|op| *op == "Input")
+            .expect("Input timing");
+        assert!(ops[first_input..].iter().all(|op| *op != "Scan"), "{ops:?}");
+        let inputs = ops.iter().filter(|op| **op == "Input").count();
+        assert_eq!(inputs, plan.purchases.len(), "{ops:?}");
+
+        // Re-home a purchase of `orders` rows on a node that holds none of
+        // them and subcontracts the whole fragment to the original seller:
+        // both engines must answer it from the merged stores.
+        let Some(i) = plan
+            .purchases
+            .iter()
+            .position(|p| p.offer.query.relations.contains_key(&rels.orders))
+        else {
+            continue;
+        };
+        let fragment = plan.purchases[i].offer.query.clone();
+        let parts: Vec<PartId> = fragment.relations[&rels.orders]
+            .iter()
+            .map(|idx| PartId::new(rels.orders, idx))
+            .collect();
+        let landlord = plan.purchases[i].offer.seller;
+        let tenant = *cat
+            .nodes
+            .iter()
+            .find(|&&n| parts.iter().all(|&part| !holds(n, part)))
+            .expect("orders partitions are not replicated");
+        plan.purchases[i].offer.seller = tenant;
+        assert!(plan
+            .execute_columnar_on(&cat.dict, &stores, &columnar)
+            .is_err());
+        plan.purchases[i].offer.subcontracts = vec![(landlord, fragment)];
+        assert_eq!(plan.execute_on(&cat.dict, &stores).unwrap(), want, "{sql}");
+        let (got, _) = plan
+            .execute_columnar_on(&cat.dict, &stores, &columnar)
+            .unwrap();
+        assert_eq!(got, want, "subcontracted: {sql}");
+        rehomed += 1;
+    }
+    assert!(rehomed >= 1, "no plan bought an orders fragment");
+}

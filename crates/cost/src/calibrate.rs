@@ -40,9 +40,10 @@ pub struct Observation {
 /// so the whole table stays mutually consistent.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibrationTable {
-    /// Seconds per byte scanned (from `Scan`).
+    /// Seconds per byte handed to a plan from resident column batches: a
+    /// `Scan` of a stored partition's image, an `Input` of delivered batches.
     pub io_byte: Option<f64>,
-    /// Seconds per tuple through Filter/Project/Union.
+    /// Seconds per tuple through `Filter`.
     pub cpu_tuple: Option<f64>,
     /// Seconds per tuple inserted into a join hash table.
     pub hash_build: Option<f64>,
@@ -78,14 +79,16 @@ impl CalibrationTable {
     /// up to float rounding; callers pass observations in execution order,
     /// which is itself deterministic for a fixed seed).
     ///
-    /// Two-pass: `cpu_tuple` comes from pure per-tuple operators first;
-    /// compound operators (Scan = IO + CPU, probe/aggregate = rate + output
-    /// CPU) then fit their own rate on the seconds the CPU term does not
-    /// already explain, mirroring the [`CostParams`] formulas exactly.
+    /// Two-pass: `cpu_tuple` comes from `Filter`, the one operator that does
+    /// pure per-tuple work (`Project` and `Union` pass column handles along
+    /// and report rows for no measurable time, so averaging them in would
+    /// only dilute the rate); compound operators (Scan = IO + CPU,
+    /// probe/aggregate = rate + output CPU) then fit their own rate on the
+    /// seconds the CPU term does not already explain, mirroring the
+    /// [`CostParams`] formulas exactly.
     pub fn fit(obs: &[Observation]) -> CalibrationTable {
         let cpu_tuple = rate(obs, |o| {
-            matches!(o.op.as_str(), "Filter" | "Project" | "Union")
-                .then_some((o.rows_in as f64, 0.0))
+            (o.op == "Filter").then_some((o.rows_in as f64, 0.0))
         });
         let cpu = cpu_tuple.unwrap_or(0.0);
         CalibrationTable {
@@ -273,6 +276,17 @@ mod tests {
                 < 1e-9
         );
         assert!((calibrated.startup - base.startup * 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn handle_passing_operators_do_not_dilute_cpu_tuple() {
+        let mut observations = machine_obs();
+        let fitted = CalibrationTable::fit(&observations).cpu_tuple;
+        // A columnar `Project`/`Union` moves no data: many rows, no time.
+        observations.push(obs("Project", 1_000_000, 1_000_000, 0, 0.0));
+        observations.push(obs("Union", 1_000_000, 1_000_000, 0, 0.0));
+        assert_eq!(CalibrationTable::fit(&observations).cpu_tuple, fitted);
+        assert!((fitted.unwrap() - 5e-7).abs() / 5e-7 < 1e-9);
     }
 
     #[test]

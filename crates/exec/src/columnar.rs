@@ -11,11 +11,43 @@
 //! * vectorized filter/project kernels over column slices;
 //! * hash join build/probe over column keys with batch-wise probe output
 //!   (probe batches run in parallel via `qt-par`);
-//! * hash aggregation over grouped batches;
+//! * hash aggregation over grouped batches (a single integer key is grouped
+//!   by value, a single string key by dictionary code);
 //! * grace-hash spilling: join build sides and aggregate state whose input
 //!   exceeds [`ColumnarConfig::mem_budget_bytes`] partition to disk via the
 //!   hand-rolled framing in [`crate::spill`] and are processed one
 //!   partition at a time.
+//!
+//! # Where columns live
+//!
+//! An answer is columnar from the store to the buyer; rows exist at the two
+//! ends only.
+//!
+//! * **At rest.** [`crate::DataStore`] keeps, next to each partition's rows,
+//!   a *column image*: the same rows as batches of [`DEFAULT_BATCH_ROWS`].
+//!   The first columnar `Scan` of a partition builds it (loading a store
+//!   pays nothing for partitions nobody queries); it then stays resident and
+//!   is shared — with the rows it mirrors — by every clone, subset and merge
+//!   of that store. Whatever changes the partition (`insert`,
+//!   `load_relation`, `merge_from`) replaces the image, and the next scan
+//!   rebuilds it. A source reaches it through [`RowSource::image_of`]; one
+//!   that answers `None` (test sources) is transposed on every scan, as
+//!   before. The price is memory: a scanned partition is resident twice,
+//!   rows and image (roughly 8 bytes per numeric cell, 4 per string cell
+//!   plus the dictionary), until the row engine stops being an executor.
+//! * **In flight.** Columns are immutable behind `Arc`s, so `Scan`,
+//!   `Project`, `Union` and a filter that keeps every row hand on reference
+//!   counts, not copies. `Scan` and `Input` still emit batches of at most
+//!   `batch_rows` whatever size they were given (re-cut by copying when a
+//!   plan asks for smaller batches than the image's).
+//! * **Between plans.** [`execute_columnar_batches`] takes and returns
+//!   batches. A seller fragment's result fills the buyer assembly's `Input`
+//!   slot as it is — batches, not rows, cross the seller/buyer boundary,
+//!   which makes them the payload a `Deliver` frame has to carry — and only
+//!   the final result is turned into rows. [`execute_columnar`] and
+//!   [`execute_columnar_with_stats`] are the rows-in / rows-out wrapper.
+//!
+//! # The oracle
 //!
 //! The row executor stays the correctness oracle: for every plan,
 //! [`execute_columnar`] returns a table **bit-identical** to
@@ -111,9 +143,11 @@ pub enum Column {
     Int { vals: Vec<i64>, validity: Validity },
     /// 64-bit floats (bit-exact; never reordered within a column).
     Float { vals: Vec<f64>, validity: Validity },
-    /// Dictionary-coded strings: `codes[i]` indexes `dict`.
+    /// Dictionary-coded strings: `codes[i]` indexes `dict`. The dictionary
+    /// is shared by every batch gathered or sliced from this one, so it may
+    /// hold entries no row of a given batch refers to.
     Str {
-        dict: Vec<Arc<str>>,
+        dict: Arc<[Arc<str>]>,
         codes: Vec<u32>,
         validity: Validity,
     },
@@ -268,7 +302,7 @@ impl Column {
                     })
                     .collect();
                 Column::Str {
-                    dict,
+                    dict: dict.into(),
                     codes,
                     validity: validity_from(rows),
                 }
@@ -279,12 +313,14 @@ impl Column {
 }
 
 /// A batch of rows in columnar layout. All columns have length `len`.
+/// Columns are immutable and shared: cloning a batch, projecting it or
+/// handing it to another plan bumps reference counts and copies no payload.
 #[derive(Debug, Clone)]
 pub struct ColBatch {
     /// Number of rows.
     pub len: usize,
     /// One typed column per schema position.
-    pub cols: Vec<Column>,
+    pub cols: Vec<Arc<Column>>,
 }
 
 impl ColBatch {
@@ -292,7 +328,9 @@ impl ColBatch {
     pub fn from_rows(rows: &[Row], width: usize) -> ColBatch {
         ColBatch {
             len: rows.len(),
-            cols: (0..width).map(|c| Column::from_rows(rows, c)).collect(),
+            cols: (0..width)
+                .map(|c| Arc::new(Column::from_rows(rows, c)))
+                .collect(),
         }
     }
 
@@ -308,13 +346,13 @@ impl ColBatch {
 
     /// Approximate heap bytes.
     pub fn bytes(&self) -> usize {
-        self.cols.iter().map(Column::bytes).sum()
+        self.cols.iter().map(|c| c.bytes()).sum()
     }
 
     fn gather(&self, idx: &[u32]) -> ColBatch {
         ColBatch {
             len: idx.len(),
-            cols: self.cols.iter().map(|c| c.take(idx)).collect(),
+            cols: self.cols.iter().map(|c| Arc::new(c.take(idx))).collect(),
         }
     }
 
@@ -356,10 +394,13 @@ fn batches_rows(batches: &[ColBatch]) -> usize {
 /// typed representation when every batch agrees; otherwise fall back to
 /// `Mixed`.
 fn concat_batches(batches: &[ColBatch], width: usize) -> ColBatch {
+    if let [only] = batches {
+        return only.clone();
+    }
     let total: usize = batches_rows(batches);
     let mut cols = Vec::with_capacity(width);
     for c in 0..width {
-        cols.push(concat_columns(batches, c, total));
+        cols.push(Arc::new(concat_columns(batches, c, total)));
     }
     ColBatch { len: total, cols }
 }
@@ -367,13 +408,13 @@ fn concat_batches(batches: &[ColBatch], width: usize) -> ColBatch {
 fn concat_columns(batches: &[ColBatch], c: usize, total: usize) -> Column {
     let all_int = batches
         .iter()
-        .all(|b| matches!(b.cols[c], Column::Int { .. }));
+        .all(|b| matches!(*b.cols[c], Column::Int { .. }));
     let all_float = batches
         .iter()
-        .all(|b| matches!(b.cols[c], Column::Float { .. }));
+        .all(|b| matches!(*b.cols[c], Column::Float { .. }));
     let all_str = batches
         .iter()
-        .all(|b| matches!(b.cols[c], Column::Str { .. }));
+        .all(|b| matches!(*b.cols[c], Column::Str { .. }));
     let merge_validity = |parts: Vec<(&Validity, usize)>| -> Validity {
         if parts.iter().all(|(v, _)| v.is_none()) {
             return None;
@@ -394,7 +435,7 @@ fn concat_columns(batches: &[ColBatch], c: usize, total: usize) -> Column {
         let mut vals = Vec::with_capacity(total);
         let mut parts = Vec::new();
         for b in batches {
-            if let Column::Int { vals: v, validity } = &b.cols[c] {
+            if let Column::Int { vals: v, validity } = &*b.cols[c] {
                 vals.extend_from_slice(v);
                 parts.push((validity, v.len()));
             }
@@ -408,7 +449,7 @@ fn concat_columns(batches: &[ColBatch], c: usize, total: usize) -> Column {
         let mut vals = Vec::with_capacity(total);
         let mut parts = Vec::new();
         for b in batches {
-            if let Column::Float { vals: v, validity } = &b.cols[c] {
+            if let Column::Float { vals: v, validity } = &*b.cols[c] {
                 vals.extend_from_slice(v);
                 parts.push((validity, v.len()));
             }
@@ -428,7 +469,7 @@ fn concat_columns(batches: &[ColBatch], c: usize, total: usize) -> Column {
                 dict: d,
                 codes: cs,
                 validity,
-            } = &b.cols[c]
+            } = &*b.cols[c]
             {
                 let remap: Vec<u32> = d
                     .iter()
@@ -444,7 +485,7 @@ fn concat_columns(batches: &[ColBatch], c: usize, total: usize) -> Column {
             }
         }
         return Column::Str {
-            dict,
+            dict: dict.into(),
             codes,
             validity: merge_validity(parts),
         };
@@ -681,7 +722,7 @@ fn ord_ok(op: CompOp) -> fn(Ordering) -> bool {
 /// AND one predicate into `mask`, vectorized per column type.
 fn apply_pred(batch: &ColBatch, pred: &LoweredPred, mask: &mut [bool]) {
     let ok = ord_ok(pred.op);
-    match (&batch.cols[pred.left], &pred.right) {
+    match (&*batch.cols[pred.left], &pred.right) {
         // Int column vs Int constant: the hot kernel.
         (
             Column::Int {
@@ -727,8 +768,8 @@ fn apply_pred(batch: &ColBatch, pred: &LoweredPred, mask: &mut [bool]) {
                 validity: None,
             },
             LoweredOperand::Col(rc),
-        ) if matches!(&batch.cols[*rc], Column::Int { validity: None, .. }) => {
-            if let Column::Int { vals: b, .. } = &batch.cols[*rc] {
+        ) if matches!(&*batch.cols[*rc], Column::Int { validity: None, .. }) => {
+            if let Column::Int { vals: b, .. } = &*batch.cols[*rc] {
                 for i in 0..mask.len() {
                     mask[i] &= ok(a[i].cmp(&b[i]));
                 }
@@ -774,7 +815,14 @@ fn filter_batch(batch: &ColBatch, preds: &[LoweredPred]) -> ColBatch {
 /// concatenated build batch, in build order — matching the row executor's
 /// per-key insertion order.
 enum JoinTable {
-    Int(HashMap<i64, Vec<u32>>),
+    /// Every key's match list in one allocation: `group_of[key]` numbers the
+    /// distinct keys, and `rows[starts[g]..starts[g + 1]]` are the build rows
+    /// of group `g`, ascending.
+    Int {
+        group_of: HashMap<i64, u32>,
+        starts: Vec<u32>,
+        rows: Vec<u32>,
+    },
     Generic(HashMap<Vec<Value>, Vec<u32>>),
 }
 
@@ -783,13 +831,37 @@ fn build_join_table(build: &ColBatch, keys: &[usize]) -> JoinTable {
         if let Column::Int {
             vals,
             validity: None,
-        } = &build.cols[keys[0]]
+        } = &*build.cols[keys[0]]
         {
-            let mut t: HashMap<i64, Vec<u32>> = HashMap::with_capacity(vals.len());
-            for (i, &v) in vals.iter().enumerate() {
-                t.entry(v).or_default().push(i as u32);
+            // One hash operation per build row assigns its group; a counting
+            // sort by group then lays the row ids out contiguously.
+            let mut group_of: HashMap<i64, u32> = HashMap::with_capacity(vals.len());
+            let mut gids: Vec<u32> = Vec::with_capacity(vals.len());
+            let mut starts: Vec<u32> = vec![0]; // starts[g + 1] counts group g first
+            for &v in vals {
+                let fresh = (starts.len() - 1) as u32;
+                let g = *group_of.entry(v).or_insert(fresh);
+                if g == fresh {
+                    starts.push(0);
+                }
+                starts[g as usize + 1] += 1;
+                gids.push(g);
             }
-            return JoinTable::Int(t);
+            for g in 1..starts.len() {
+                starts[g] += starts[g - 1];
+            }
+            let mut cursor = starts.clone();
+            let mut rows = vec![0u32; vals.len()];
+            for (i, &g) in gids.iter().enumerate() {
+                let at = &mut cursor[g as usize];
+                rows[*at as usize] = i as u32;
+                *at += 1;
+            }
+            return JoinTable::Int {
+                group_of,
+                starts,
+                rows,
+            };
         }
     }
     let mut t: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build.len);
@@ -806,32 +878,35 @@ fn probe_batch(batch: &ColBatch, keys: &[usize], table: &JoinTable) -> (Vec<u32>
     let mut bidx = Vec::new();
     let mut pidx = Vec::new();
     match table {
-        JoinTable::Int(t) => {
+        JoinTable::Int {
+            group_of,
+            starts,
+            rows,
+        } => {
+            let mut emit = |key: &i64, probe_row: usize| {
+                if let Some(&g) = group_of.get(key) {
+                    let (from, to) = (starts[g as usize], starts[g as usize + 1]);
+                    for &b in &rows[from as usize..to as usize] {
+                        bidx.push(b);
+                        pidx.push(probe_row as u32);
+                    }
+                }
+            };
             // The build side is all non-null Int, so only Int probe keys can
             // match (cross-type Values are never equal).
-            if keys.len() == 1 {
-                if let Column::Int {
+            match &*batch.cols[keys[0]] {
+                Column::Int {
                     vals,
                     validity: None,
-                } = &batch.cols[keys[0]]
-                {
+                } => {
                     for (i, v) in vals.iter().enumerate() {
-                        if let Some(matches) = t.get(v) {
-                            for &b in matches {
-                                bidx.push(b);
-                                pidx.push(i as u32);
-                            }
-                        }
+                        emit(v, i);
                     }
-                    return (bidx, pidx);
                 }
-            }
-            for i in 0..batch.len {
-                if let Value::Int(v) = batch.value_at(keys[0], i) {
-                    if let Some(matches) = t.get(&v) {
-                        for &b in matches {
-                            bidx.push(b);
-                            pidx.push(i as u32);
+                other => {
+                    for i in 0..batch.len {
+                        if let Value::Int(v) = other.value_at(i) {
+                            emit(&v, i);
                         }
                     }
                 }
@@ -867,7 +942,7 @@ fn partition_of(key: &[Value], parts: usize) -> usize {
 
 struct Ctx<'a> {
     source: &'a dyn RowSource,
-    inputs: &'a [Table],
+    inputs: &'a [Vec<ColBatch>],
     cfg: &'a ColumnarConfig,
 }
 
@@ -882,13 +957,34 @@ pub fn execute_columnar(
 }
 
 /// Like [`execute_columnar`], also returning spill counters and
-/// per-operator timings for the cost-calibration loop.
+/// per-operator timings for the cost-calibration loop. The rows-in /
+/// rows-out wrapper of [`execute_columnar_batches`]: input tables are
+/// transposed before the plan runs and the result once after it.
 pub fn execute_columnar_with_stats(
     plan: &PhysPlan,
     source: &dyn RowSource,
     inputs: &[Table],
     cfg: &ColumnarConfig,
 ) -> Result<(Table, ColExecStats), ExecError> {
+    let inputs: Vec<Vec<ColBatch>> = inputs
+        .iter()
+        .map(|t| rows_to_batches(t, t.first().map_or(0, Vec::len), cfg.batch_rows))
+        .collect();
+    let (batches, stats) = execute_columnar_batches(plan, source, &inputs, cfg)?;
+    Ok((batches_to_rows(&batches), stats))
+}
+
+/// The executor's one entry point: `inputs[slot]` fills the plan's
+/// [`PhysPlan::Input`] slots with column batches (of any size — `Input`
+/// re-cuts them to `cfg.batch_rows`), scans read `source`, and the result
+/// stays columnar, so a seller fragment's output can be handed to the buyer
+/// assembly without ever becoming rows.
+pub fn execute_columnar_batches(
+    plan: &PhysPlan,
+    source: &dyn RowSource,
+    inputs: &[Vec<ColBatch>],
+    cfg: &ColumnarConfig,
+) -> Result<(Vec<ColBatch>, ColExecStats), ExecError> {
     let lowered = lower(plan)?;
     let mut stats = ColExecStats::default();
     let ctx = Ctx {
@@ -897,7 +993,25 @@ pub fn execute_columnar_with_stats(
         cfg,
     };
     let batches = eval(&lowered, &ctx, &mut stats)?;
-    Ok((batches_to_rows(&batches), stats))
+    Ok((batches, stats))
+}
+
+/// Resident batches (a partition's column image, a purchased fragment) as
+/// batches of at most `batch_rows`: shared as they are when they already
+/// fit, re-cut by copying otherwise.
+fn recut(batches: &[ColBatch], batch_rows: usize) -> Vec<ColBatch> {
+    let step = batch_rows.max(1);
+    if batches.iter().all(|b| b.len <= step) {
+        return batches.to_vec();
+    }
+    let mut out = Vec::new();
+    for b in batches {
+        for start in (0..b.len).step_by(step) {
+            let idx: Vec<u32> = (start as u32..(start + step).min(b.len) as u32).collect();
+            out.push(b.gather(&idx));
+        }
+    }
+    out
 }
 
 fn timing(
@@ -921,25 +1035,35 @@ fn eval(op: &ColOp, ctx: &Ctx<'_>, stats: &mut ColExecStats) -> Result<Vec<ColBa
     let threads = qt_par::max_threads();
     match &op.kind {
         ColKind::Scan { part } => {
-            let rows = ctx
-                .source
-                .rows_of(*part)
-                .ok_or(ExecError::MissingPartition(*part))?;
             let t0 = Instant::now();
-            let batches = rows_to_batches(rows, op.width, ctx.cfg.batch_rows);
+            let (rows, batches) = match ctx.source.image_of(*part) {
+                Some(image) => (batches_rows(image), recut(image, ctx.cfg.batch_rows)),
+                // A source without a resident image: transpose per query.
+                None => {
+                    let rows = ctx
+                        .source
+                        .rows_of(*part)
+                        .ok_or(ExecError::MissingPartition(*part))?;
+                    (
+                        rows.len(),
+                        rows_to_batches(rows, op.width, ctx.cfg.batch_rows),
+                    )
+                }
+            };
             let bytes = batches_bytes(&batches);
-            timing(stats, "Scan", rows.len(), rows.len(), bytes, t0);
+            timing(stats, "Scan", rows, rows, bytes, t0);
             Ok(batches)
         }
         ColKind::Input { slot } => {
-            let rows = ctx
+            let given = ctx
                 .inputs
                 .get(*slot)
                 .ok_or(ExecError::MissingInput(*slot))?;
             let t0 = Instant::now();
-            let batches = rows_to_batches(rows, op.width, ctx.cfg.batch_rows);
+            let batches = recut(given, ctx.cfg.batch_rows);
+            let rows = batches_rows(&batches);
             let bytes = batches_bytes(&batches);
-            timing(stats, "Input", rows.len(), rows.len(), bytes, t0);
+            timing(stats, "Input", rows, rows, bytes, t0);
             Ok(batches)
         }
         ColKind::Filter { input, preds } => {
@@ -1051,8 +1175,10 @@ fn eval(op: &ColOp, ctx: &Ctx<'_>, stats: &mut ColExecStats) -> Result<Vec<ColBa
                 rows_in += batches_rows(&b);
                 out.extend(b);
             }
-            let t0 = Instant::now();
-            timing(stats, "Union", rows_in, rows_in, 0, t0);
+            // Appending batch handles is the whole operator, so the timing
+            // records the row count and no measurable work (the calibration
+            // fit leaves `Union` and `Project` out for that reason).
+            timing(stats, "Union", rows_in, rows_in, 0, Instant::now());
             Ok(out)
         }
         ColKind::Sort { input, keys } => {
@@ -1354,11 +1480,23 @@ fn nl_join(
 // Hash aggregation (in-memory + grace spill)
 // ---------------------------------------------------------------------------
 
-/// Group-id assignment: specialized single non-null Int key or generic.
+/// Group-id assignment: specialized on a single non-null Int key, on a
+/// single non-null dictionary-coded Str key, or generic.
 enum GroupKeys {
     Int(HashMap<i64, u32>),
+    /// Strings are hashed once per (dictionary, code), not once per row:
+    /// `code_gid[code]` caches the group of a code of the dictionary `of`,
+    /// and is kept across consecutive batches that share that dictionary.
+    Str {
+        map: HashMap<Arc<str>, u32>,
+        of: Option<Arc<[Arc<str>]>>,
+        code_gid: Vec<u32>,
+    },
     Generic(HashMap<Vec<Value>, u32>),
 }
+
+/// `code_gid` entry of a dictionary code no row has referred to yet.
+const UNRESOLVED: u32 = u32::MAX;
 
 fn hash_aggregate(
     in_batches: &[ColBatch],
@@ -1374,12 +1512,17 @@ fn hash_aggregate(
         return spill_aggregate(in_batches, width, key_cols, aggs, ctx, stats);
     }
     let t0 = Instant::now();
-    let single_int_key = key_cols.len() == 1
-        && in_batches
-            .iter()
-            .all(|b| matches!(b.cols[key_cols[0]], Column::Int { validity: None, .. }));
-    let mut keys = if single_int_key {
+    let single_key = |typed: fn(&Column) -> bool| {
+        key_cols.len() == 1 && in_batches.iter().all(|b| typed(&b.cols[key_cols[0]]))
+    };
+    let mut keys = if single_key(|c| matches!(c, Column::Int { validity: None, .. })) {
         GroupKeys::Int(HashMap::new())
+    } else if single_key(|c| matches!(c, Column::Str { validity: None, .. })) {
+        GroupKeys::Str {
+            map: HashMap::new(),
+            of: None,
+            code_gid: Vec::new(),
+        }
     } else {
         GroupKeys::Generic(HashMap::new())
     };
@@ -1391,7 +1534,7 @@ fn hash_aggregate(
         gids.reserve(b.len);
         match &mut keys {
             GroupKeys::Int(map) => {
-                if let Column::Int { vals, .. } = &b.cols[key_cols[0]] {
+                if let Column::Int { vals, .. } = &*b.cols[key_cols[0]] {
                     for &v in vals {
                         let gid = *map.entry(v).or_insert_with(|| {
                             group_rows.push(vec![Value::Int(v)]);
@@ -1399,6 +1542,29 @@ fn hash_aggregate(
                             (group_rows.len() - 1) as u32
                         });
                         gids.push(gid);
+                    }
+                }
+            }
+            GroupKeys::Str { map, of, code_gid } => {
+                if let Column::Str { dict, codes, .. } = &*b.cols[key_cols[0]] {
+                    if !of.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict)) {
+                        *of = Some(dict.clone());
+                        code_gid.clear();
+                        code_gid.resize(dict.len(), UNRESOLVED);
+                    }
+                    // A code is resolved at its first row, so a group is
+                    // created exactly where the row executor first sees it.
+                    for &code in codes {
+                        let slot = &mut code_gid[code as usize];
+                        if *slot == UNRESOLVED {
+                            let s = &dict[code as usize];
+                            *slot = *map.entry(s.clone()).or_insert_with(|| {
+                                group_rows.push(vec![Value::Str(s.clone())]);
+                                states.push(aggs.iter().map(|&(f, _)| AggState::new(f)).collect());
+                                (group_rows.len() - 1) as u32
+                            });
+                        }
+                        gids.push(*slot);
                     }
                 }
             }
@@ -1454,7 +1620,7 @@ fn fold_agg_column(
     j: usize,
     states: &mut [Vec<AggState>],
 ) -> Result<(), ExecError> {
-    match (func, arg.map(|a| &b.cols[a])) {
+    match (func, arg.map(|a| &*b.cols[a])) {
         (AggFunc::Count, _) => {
             for &g in gids {
                 if let AggState::Count(n) = &mut states[g as usize][j] {
@@ -1803,7 +1969,7 @@ mod tests {
             vec![Value::Int(3), Value::Int(7), Value::str("a")],
         ];
         let b = ColBatch::from_rows(&rows, 3);
-        assert!(matches!(b.cols[1], Column::Mixed(_)));
+        assert!(matches!(*b.cols[1], Column::Mixed(_)));
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(&b.row(i), r);
         }
@@ -1812,13 +1978,195 @@ mod tests {
         assert_eq!(taken.row(1), rows[0]);
     }
 
+    /// (string key, float payload) rows; `None` = a NULL key.
+    fn keyed(rows: &[(Option<&str>, f64)]) -> Mem {
+        let rows = rows
+            .iter()
+            .map(|(k, x)| vec![k.map_or(Value::Null, Value::str), Value::Float(*x)])
+            .collect();
+        Mem([(PartId::new(RelId(0), 0), rows)].into_iter().collect())
+    }
+
+    fn sum_by_key() -> PhysPlan {
+        PhysPlan::HashAggregate {
+            input: Box::new(scan(0, 2)),
+            group_by: vec![Col::new(RelId(0), 0)],
+            aggs: vec![AggSpec {
+                func: AggFunc::Sum,
+                arg: Some(Col::new(RelId(0), 1)),
+            }],
+        }
+    }
+
+    #[test]
+    fn str_keys_group_by_code_across_differing_dictionaries() {
+        // Batches of 3: dictionaries {b,a}, {c,a}, {b,c,d} — they differ,
+        // overlap, and number the same string differently. The float sums
+        // only come out bit-equal when each group folds in input-row order.
+        let src = keyed(&[
+            (Some("b"), 0.1),
+            (Some("a"), 0.2),
+            (Some("b"), 0.3),
+            (Some("c"), 1e16),
+            (Some("a"), -0.7),
+            (Some("c"), 1.0),
+            (Some("b"), 1e-9),
+            (Some("c"), -1e16),
+            (Some("d"), 0.5),
+        ]);
+        for batch_rows in [1, 3, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            assert_oracle_match(&sum_by_key(), &src, &cfg);
+        }
+        let got = execute_columnar(&sum_by_key(), &src, &[], &ColumnarConfig::default()).unwrap();
+        let order: Vec<&Value> = got.iter().map(|r| &r[0]).collect();
+        assert_eq!(
+            order,
+            [
+                &Value::str("b"),
+                &Value::str("a"),
+                &Value::str("c"),
+                &Value::str("d")
+            ],
+            "groups appear in first-seen order"
+        );
+    }
+
+    #[test]
+    fn null_str_key_takes_the_generic_path() {
+        let src = keyed(&[
+            (Some("a"), 1.5),
+            (None, 2.5),
+            (Some("a"), 0.25),
+            (None, -1.0),
+            (Some("b"), 4.0),
+        ]);
+        for batch_rows in [2, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            assert_oracle_match(&sum_by_key(), &src, &cfg);
+        }
+    }
+
+    #[test]
+    fn str_key_groups_survive_a_shared_dictionary() {
+        // Join output batches are gathered from one probe batch each and
+        // share its dictionary, unused entries included.
+        let src = store(300);
+        let plan = PhysPlan::HashAggregate {
+            input: Box::new(PhysPlan::HashJoin {
+                left: Box::new(scan(0, 3)),
+                right: Box::new(scan(1, 2)),
+                left_keys: vec![Col::new(RelId(0), 0)],
+                right_keys: vec![Col::new(RelId(1), 0)],
+            }),
+            group_by: vec![Col::new(RelId(1), 1)],
+            aggs: vec![AggSpec {
+                func: AggFunc::Sum,
+                arg: Some(Col::new(RelId(0), 2)),
+            }],
+        };
+        for batch_rows in [1, 7, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            assert_oracle_match(&plan, &src, &cfg);
+        }
+    }
+
+    #[test]
+    fn int_join_table_keeps_build_order_for_duplicate_and_absent_keys() {
+        // Build keys repeat across batches (5, 9, 5, 7, 9, 5, ...); probe
+        // keys include values the build side lacks, a NULL and a string.
+        let build: Table = (0..40)
+            .map(|i| vec![Value::Int([5, 9, 5, 7][i % 4]), Value::Int(i as i64)])
+            .collect();
+        let probe: Table = vec![
+            vec![Value::Int(9), Value::str("p0")],
+            vec![Value::Int(6), Value::str("p1")],
+            vec![Value::Null, Value::str("p2")],
+            vec![Value::Int(5), Value::str("p3")],
+            vec![Value::str("5"), Value::str("p4")],
+            vec![Value::Int(9), Value::str("p5")],
+        ];
+        let src = Mem([
+            (PartId::new(RelId(0), 0), build),
+            (PartId::new(RelId(1), 0), probe),
+        ]
+        .into_iter()
+        .collect());
+        let plan = PhysPlan::HashJoin {
+            left: Box::new(scan(0, 2)),
+            right: Box::new(scan(1, 2)),
+            left_keys: vec![Col::new(RelId(0), 0)],
+            right_keys: vec![Col::new(RelId(1), 0)],
+        };
+        for batch_rows in [1, 7, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            assert_oracle_match(&plan, &src, &cfg);
+        }
+        let got = execute_columnar(&plan, &src, &[], &ColumnarConfig::default()).unwrap();
+        let of_p3: Vec<i64> = got
+            .iter()
+            .filter(|r| r[3] == Value::str("p3"))
+            .map(|r| r[1].as_int().unwrap())
+            .collect();
+        assert_eq!(of_p3.len(), 20);
+        assert!(
+            of_p3.windows(2).all(|w| w[0] < w[1]),
+            "build order: {of_p3:?}"
+        );
+    }
+
+    #[test]
+    fn batch_entry_point_recuts_inputs_and_stays_columnar() {
+        let src = store(0);
+        let table: Table = (0..50)
+            .map(|i| vec![Value::Int(i % 4), Value::str(format!("s{}", i % 3))])
+            .collect();
+        let plan = PhysPlan::Filter {
+            input: Box::new(PhysPlan::Input {
+                slot: 0,
+                schema: vec![Col::new(RelId(5), 0), Col::new(RelId(5), 1)],
+            }),
+            predicates: vec![Predicate::with_const(
+                Col::new(RelId(5), 0),
+                CompOp::Ge,
+                1i64,
+            )],
+        };
+        let oracle = execute(&plan, &src, std::slice::from_ref(&table)).unwrap();
+        // Delivered in batches of 16, consumed in batches of 7 and of 1024.
+        let delivered = [rows_to_batches(&table, 2, 16)];
+        for batch_rows in [7, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            let (out, stats) = execute_columnar_batches(&plan, &src, &delivered, &cfg).unwrap();
+            assert!(out.iter().all(|b| b.len <= batch_rows));
+            assert_eq!(batches_to_rows(&out), oracle);
+            let input = stats.timings.iter().find(|t| t.op == "Input").unwrap();
+            assert_eq!(input.rows_in, 50);
+        }
+    }
+
     #[test]
     fn str_columns_are_dictionary_coded() {
         let rows: Table = (0..100)
             .map(|i| vec![Value::str(format!("tag{}", i % 3))])
             .collect();
         let b = ColBatch::from_rows(&rows, 1);
-        match &b.cols[0] {
+        match &*b.cols[0] {
             Column::Str { dict, codes, .. } => {
                 assert_eq!(dict.len(), 3);
                 assert_eq!(codes.len(), 100);

@@ -1,5 +1,6 @@
 //! The materializing executor.
 
+use crate::columnar::ColBatch;
 use crate::error::ExecError;
 use crate::plan::{AggSpec, PhysPlan};
 use crate::{Row, Table};
@@ -12,6 +13,14 @@ use std::collections::HashMap;
 pub trait RowSource {
     /// The rows of `part`, or `None` when this source does not hold it.
     fn rows_of(&self, part: PartId) -> Option<&[Row]>;
+
+    /// The same rows as resident column batches, when the source keeps such
+    /// an image ([`crate::DataStore`] does). The columnar `Scan` shares
+    /// these batches; a source that answers `None` is transposed from
+    /// [`RowSource::rows_of`] on every scan.
+    fn image_of(&self, _part: PartId) -> Option<&[ColBatch]> {
+        None
+    }
 }
 
 /// Resolve `col` to its position in `schema`.

@@ -25,8 +25,9 @@ pub mod trace;
 
 pub use arena::{ArenaPlan, PlanArena, PlanId};
 pub use columnar::{
-    execute_columnar, execute_columnar_with_stats, lower, ColBatch, ColExecStats, ColOp, Column,
-    ColumnarConfig, DEFAULT_BATCH_ROWS,
+    batches_to_rows, execute_columnar, execute_columnar_batches, execute_columnar_with_stats,
+    lower, rows_to_batches, ColBatch, ColExecStats, ColOp, Column, ColumnarConfig,
+    DEFAULT_BATCH_ROWS,
 };
 pub use datastore::DataStore;
 pub use error::ExecError;

@@ -1,7 +1,10 @@
 //! Property-based equivalence: the columnar executor is bit-identical to the
 //! row executor (the correctness oracle) on random plans over random data —
 //! same rows, same order — across batch sizes {1, 7, 1024}, spill budgets
-//! {tiny (everything spills), unlimited}, and `QT_THREADS` ∈ {1, 4}.
+//! {tiny (everything spills), unlimited}, and `QT_THREADS` ∈ {1, 4}, whether
+//! scans transpose rows per query (a hand-written source), share a
+//! `DataStore`'s resident column image (cold, then warm), or the leaves
+//! arrive as column batches through the batch entry point.
 //!
 //! CI additionally runs this whole binary under `QT_THREADS=1` and
 //! `QT_THREADS=4`; the env-sweeping test below rotates the variable itself
@@ -10,7 +13,8 @@
 use proptest::prelude::*;
 use qt_catalog::{PartId, RelId, Value};
 use qt_exec::{
-    execute, execute_columnar_with_stats, AggSpec, ColumnarConfig, PhysPlan, Row, RowSource, Table,
+    batches_to_rows, execute, execute_columnar_batches, execute_columnar_with_stats,
+    rows_to_batches, AggSpec, ColumnarConfig, DataStore, PhysPlan, Row, RowSource, Table,
 };
 use qt_query::{AggFunc, Col, CompOp, Operand, Predicate};
 use std::collections::BTreeMap;
@@ -53,45 +57,67 @@ fn rows_strategy() -> impl Strategy<Value = Table> {
     .prop_map(|rows| rows.into_iter().map(|(a, b, c)| vec![a, b, c]).collect())
 }
 
+fn part(rel: u32) -> PartId {
+    PartId::new(RelId(rel), 0)
+}
+
 fn scan(rel: u32) -> PhysPlan {
     PhysPlan::Scan {
-        part: PartId::new(RelId(rel), 0),
+        part: part(rel),
         arity: 3,
     }
 }
 
-fn store(l: Table, r: Table) -> Mem {
-    Mem(
-        [(PartId::new(RelId(0), 0), l), (PartId::new(RelId(1), 0), r)]
-            .into_iter()
-            .collect(),
-    )
+/// Relation `rel` delivered into input slot `rel` instead of scanned.
+fn input(rel: u32) -> PhysPlan {
+    PhysPlan::Input {
+        slot: rel as usize,
+        schema: (0..3).map(|a| Col::new(RelId(rel), a)).collect(),
+    }
 }
 
-/// A small random plan: filter → join → optional aggregate / sort.
-fn plan_strategy() -> impl Strategy<Value = PhysPlan> {
-    let filtered = (any::<bool>(), -3i64..3).prop_map(|(keep, c)| {
-        if keep {
-            PhysPlan::Filter {
-                input: Box::new(scan(0)),
+fn store(l: Table, r: Table) -> Mem {
+    Mem([(part(0), l), (part(1), r)].into_iter().collect())
+}
+
+/// A small random plan: filter → join → optional aggregate / sort. The
+/// shape is drawn first so the same plan can be built over scans and over
+/// input slots.
+#[derive(Debug, Clone)]
+struct Shape {
+    filter: Option<i64>,
+    hash: bool,
+    top: u8,
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (any::<bool>(), -3i64..3, any::<bool>(), 0u8..3).prop_map(|(keep, c, hash, top)| Shape {
+        filter: keep.then_some(c),
+        hash,
+        top,
+    })
+}
+
+impl Shape {
+    fn plan(&self, leaf: fn(u32) -> PhysPlan) -> PhysPlan {
+        let left = match self.filter {
+            Some(c) => PhysPlan::Filter {
+                input: Box::new(leaf(0)),
                 predicates: vec![Predicate::with_const(Col::new(RelId(0), 2), CompOp::Ge, c)],
-            }
-        } else {
-            scan(0)
-        }
-    });
-    let joined = (filtered, any::<bool>()).prop_map(|(left, hash)| {
-        if hash {
+            },
+            None => leaf(0),
+        };
+        let j = if self.hash {
             PhysPlan::HashJoin {
                 left: Box::new(left),
-                right: Box::new(scan(1)),
+                right: Box::new(leaf(1)),
                 left_keys: vec![Col::new(RelId(0), 0)],
                 right_keys: vec![Col::new(RelId(1), 0)],
             }
         } else {
             PhysPlan::NlJoin {
                 left: Box::new(left),
-                right: Box::new(scan(1)),
+                right: Box::new(leaf(1)),
                 predicates: vec![
                     Predicate::eq_cols(Col::new(RelId(0), 0), Col::new(RelId(1), 0)),
                     Predicate {
@@ -101,33 +127,33 @@ fn plan_strategy() -> impl Strategy<Value = PhysPlan> {
                     },
                 ],
             }
+        };
+        match self.top {
+            0 => j,
+            1 => PhysPlan::Sort {
+                input: Box::new(j),
+                keys: vec![Col::new(RelId(1), 2), Col::new(RelId(0), 1)],
+            },
+            _ => PhysPlan::HashAggregate {
+                input: Box::new(j),
+                group_by: vec![Col::new(RelId(1), 0)],
+                aggs: vec![
+                    AggSpec {
+                        func: AggFunc::Sum,
+                        arg: Some(Col::new(RelId(0), 2)),
+                    },
+                    AggSpec {
+                        func: AggFunc::Count,
+                        arg: None,
+                    },
+                    AggSpec {
+                        func: AggFunc::Min,
+                        arg: Some(Col::new(RelId(0), 0)),
+                    },
+                ],
+            },
         }
-    });
-    (joined, 0u8..3).prop_map(|(j, top)| match top {
-        0 => j,
-        1 => PhysPlan::Sort {
-            input: Box::new(j),
-            keys: vec![Col::new(RelId(1), 2), Col::new(RelId(0), 1)],
-        },
-        _ => PhysPlan::HashAggregate {
-            input: Box::new(j),
-            group_by: vec![Col::new(RelId(1), 0)],
-            aggs: vec![
-                AggSpec {
-                    func: AggFunc::Sum,
-                    arg: Some(Col::new(RelId(0), 2)),
-                },
-                AggSpec {
-                    func: AggFunc::Count,
-                    arg: None,
-                },
-                AggSpec {
-                    func: AggFunc::Min,
-                    arg: Some(Col::new(RelId(0), 0)),
-                },
-            ],
-        },
-    })
+    }
 }
 
 fn configs() -> Vec<ColumnarConfig> {
@@ -150,9 +176,14 @@ proptest! {
     /// Columnar output is bit-identical (rows and order) to the row executor
     /// for every batch size × spill budget combination.
     #[test]
-    fn columnar_matches_row_executor(l in rows_strategy(), r in rows_strategy(), plan in plan_strategy()) {
-        let src = store(l, r);
+    fn columnar_matches_row_executor(l in rows_strategy(), r in rows_strategy(), shape in shape_strategy()) {
+        let plan = shape.plan(scan);
+        let src = store(l.clone(), r.clone());
         let oracle = execute(&plan, &src, &[]).unwrap();
+        // The same leaves delivered as column batches, cut at a size (5)
+        // that is none of the sizes the plan runs at.
+        let over_inputs = shape.plan(input);
+        let delivered = [rows_to_batches(&l, 3, 5), rows_to_batches(&r, 3, 5)];
         for cfg in configs() {
             let (got, stats) = execute_columnar_with_stats(&plan, &src, &[], &cfg).unwrap();
             prop_assert_eq!(&got, &oracle, "batch_rows={} budget={}", cfg.batch_rows, cfg.mem_budget_bytes);
@@ -163,13 +194,25 @@ proptest! {
             if cfg.mem_budget_bytes == 0 && !got.is_empty() {
                 prop_assert_eq!(stats.spill_files > 0, true);
             }
+            // A fresh store per configuration: the first run builds the
+            // partitions' column images, the second shares them.
+            let mut resident = DataStore::new();
+            resident.insert(part(0), l.clone());
+            resident.insert(part(1), r.clone());
+            for image in ["cold", "warm"] {
+                let (got, _) = execute_columnar_with_stats(&plan, &resident, &[], &cfg).unwrap();
+                prop_assert_eq!(&got, &oracle, "{} image, batch_rows={} budget={}", image, cfg.batch_rows, cfg.mem_budget_bytes);
+            }
+            let (got, _) = execute_columnar_batches(&over_inputs, &src, &delivered, &cfg).unwrap();
+            prop_assert_eq!(&batches_to_rows(&got), &oracle, "batch inputs, batch_rows={} budget={}", cfg.batch_rows, cfg.mem_budget_bytes);
         }
     }
 
     /// Same equivalence while rotating `QT_THREADS` between 1 and 4: the
     /// parallel probe/filter sections must not perturb row order.
     #[test]
-    fn columnar_is_thread_count_invariant(l in rows_strategy(), r in rows_strategy(), plan in plan_strategy()) {
+    fn columnar_is_thread_count_invariant(l in rows_strategy(), r in rows_strategy(), shape in shape_strategy()) {
+        let plan = shape.plan(scan);
         let src = store(l, r);
         let oracle = execute(&plan, &src, &[]).unwrap();
         let _guard = ENV_LOCK.lock().unwrap();
