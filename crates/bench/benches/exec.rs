@@ -1,17 +1,20 @@
 //! Criterion micro-benches for the columnar executor, one per place the
 //! answer path spends its time: scanning a partition's resident column
 //! image, handing a seller fragment's batches to the buyer assembly, the
-//! `Int`-keyed join table, and grouping by a string and by an integer key.
-//! All on `tpch_federation` at 40 000 orders (160 k lineitems), the
-//! `answer_tpch` workload's scale.
+//! `Int`-keyed join table (built on the large side, probed by the large
+//! side, and over keys too spread to index directly), and grouping by a
+//! string and by an integer key. All on `tpch_federation` at 40 000 orders
+//! (160 k lineitems), the `answer_tpch` workload's scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qt_catalog::{PartId, RelId};
 use qt_exec::{
-    execute_columnar_batches, AggSpec, ColBatch, ColumnarConfig, DataStore, PhysPlan, RowSource,
+    execute_columnar_batches, AggSpec, ColBatch, Column, ColumnarConfig, DataStore, PhysPlan,
+    RowSource,
 };
-use qt_query::{AggFunc, Col};
+use qt_query::{AggFunc, Col, CompOp, Predicate};
 use qt_workload::tpch::{tpch_federation, TpchSpec};
+use std::sync::Arc;
 
 fn scan(rel: RelId, part: u16, arity: usize) -> PhysPlan {
     PhysPlan::Scan {
@@ -90,6 +93,60 @@ fn bench_exec(c: &mut Criterion) {
     );
     c.bench_function("hash_join/build_160k", |b| {
         b.iter(|| std::hint::black_box(run(&supplier_lines, &all, &[])));
+    });
+
+    // The same rows with every suppkey times 2^32: a key range no slot array
+    // may cover, so the join table hashes its keys. Delivered through input
+    // slots, which hand batches over as `Scan` does.
+    let spread = |batches: Vec<ColBatch>, key: usize| -> Vec<ColBatch> {
+        batches
+            .into_iter()
+            .map(|mut b| {
+                if let Column::Int { vals, validity } = &*b.cols[key] {
+                    let vals = vals.iter().map(|k| k << 32).collect();
+                    let validity = validity.clone();
+                    b.cols[key] = Arc::new(Column::Int { vals, validity });
+                }
+                b
+            })
+            .collect()
+    };
+    let wide = [
+        spread(run(&lineitem, &all, &[]), 1),
+        spread(run(&scan(rels.supplier, 0, 3), &all, &[]), 0),
+    ];
+    let wide_lines = hash_join(
+        input(0),
+        PhysPlan::Input {
+            slot: 1,
+            schema: (0..3).map(|a| col(rels.supplier, a)).collect(),
+        },
+        col(rels.lineitem, 1),
+        col(rels.supplier, 0),
+    );
+    c.bench_function("hash_join/wide_keys_160k", |b| {
+        b.iter(|| std::hint::black_box(run(&wide_lines, &empty, &wide)));
+    });
+
+    // BIG_ORDER_LINES' join: the ~7 900 orders over 4 000.0 on the build
+    // side (orderkeys spread over 40 000), probed by 160 k lineitems.
+    let big_order_lines = hash_join(
+        PhysPlan::Filter {
+            input: Box::new(PhysPlan::Union {
+                inputs: vec![scan(rels.orders, 0, 3), scan(rels.orders, 1, 3)],
+            }),
+            predicates: vec![Predicate::with_const(
+                col(rels.orders, 2),
+                CompOp::Gt,
+                4000.0,
+            )],
+        },
+        lineitem.clone(),
+        col(rels.orders, 0),
+        col(rels.lineitem, 0),
+    );
+    c.bench_function("hash_join/probe_160k", |b| {
+        b.iter(|| std::hint::black_box(run(&big_order_lines, &all, &[])));
     });
 
     // The same join, continued to nation: 160 k rows carrying `nname`.

@@ -12,7 +12,8 @@
 //! * hash join build/probe over column keys with batch-wise probe output
 //!   (probe batches run in parallel via `qt-par`);
 //! * hash aggregation over grouped batches (a single integer key is grouped
-//!   by value, a single string key by dictionary code);
+//!   by value, a single string key by dictionary code), emitted straight
+//!   into typed columns;
 //! * grace-hash spilling: join build sides and aggregate state whose input
 //!   exceeds [`ColumnarConfig::mem_budget_bytes`] partition to disk via the
 //!   hand-rolled framing in [`crate::spill`] and are processed one
@@ -47,6 +48,36 @@
 //!   the final result is turned into rows. [`execute_columnar`] and
 //!   [`execute_columnar_with_stats`] are the rows-in / rows-out wrapper.
 //!
+//! # Keys that index, keys that hash
+//!
+//! Joins and group-bys on one non-null `Int` column — surrogate keys such as
+//! TPC-H's suppkey, custkey, orderkey — number their keys through one type,
+//! `IntIds`, shared by the join table and the grouping.
+//!
+//! * **The rule is memory parity.** `IntIds` first takes the key column's
+//!   min and max (the span in `i128`, so `i64::MIN..=i64::MAX` cannot
+//!   overflow). It indexes a slot array by `key - min` when that array needs
+//!   no more bytes than the `HashMap<i64, u32>` it replaces would reserve
+//!   for the same rows — the build rows for a join, the input rows (the
+//!   bound on groups) for a grouping. No tuned factor: 7 924 build rows
+//!   spread over 40 000 orderkeys take a 160 KB array where the map would
+//!   have reserved ≈ 278 KB.
+//! * **Otherwise the key is hashed, with std's SipHash.** Keys are other
+//!   nodes' data; a sparse or hostile range falls back to exactly the map it
+//!   had before, so it costs what it cost before and no more.
+//! * **Slots hold id + 1.** 0 means absent, so the array is one zeroed
+//!   allocation whose untouched pages are never faulted. A probe key is
+//!   located by a wrapping `key - min`: one below the range, above it, or at
+//!   the far end of the domain lands past the array and misses, as do NULL,
+//!   `Float` and `Str` probe keys — exactly as with the map. Ids are handed
+//!   out in first-seen order, so match lists stay in build order and groups
+//!   in first-seen order on both paths.
+//! * **Aggregate state is flat.** Group keys are stored `nk` values per
+//!   group and states as one `Vec<AggState>` indexed `g * aggs + j`, so a
+//!   new group allocates nothing of its own; the groups are emitted straight
+//!   into typed columns cut at `batch_rows`, through the same value→`Column`
+//!   builder that turns rows into batches.
+//!
 //! # The oracle
 //!
 //! The row executor stays the correctness oracle: for every plan,
@@ -69,7 +100,7 @@ use qt_catalog::{PartId, Value};
 use qt_query::{AggFunc, Col, CompOp, Operand, Predicate};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -155,25 +186,22 @@ pub enum Column {
     Mixed(Vec<Value>),
 }
 
+fn dict_bytes(dict: &[Arc<str>]) -> usize {
+    dict.iter().map(|s| s.len()).sum()
+}
+
 impl Column {
-    /// Approximate heap bytes, used for spill budgeting.
-    pub fn bytes(&self) -> usize {
+    /// Approximate heap bytes less a string column's dictionary, which the
+    /// columns gathered from one batch share ([`batches_bytes`] counts each
+    /// dictionary once).
+    fn payload_bytes(&self) -> usize {
+        let words = |validity: &Validity| validity.as_ref().map_or(0, |w| w.len() * 8);
         match self {
-            Column::Int { vals, validity } => {
-                vals.len() * 8 + validity.as_ref().map_or(0, |w| w.len() * 8)
-            }
-            Column::Float { vals, validity } => {
-                vals.len() * 8 + validity.as_ref().map_or(0, |w| w.len() * 8)
-            }
+            Column::Int { vals, validity } => vals.len() * 8 + words(validity),
+            Column::Float { vals, validity } => vals.len() * 8 + words(validity),
             Column::Str {
-                dict,
-                codes,
-                validity,
-            } => {
-                codes.len() * 4
-                    + dict.iter().map(|s| s.len()).sum::<usize>()
-                    + validity.as_ref().map_or(0, |w| w.len() * 8)
-            }
+                codes, validity, ..
+            } => codes.len() * 4 + words(validity),
             Column::Mixed(v) => v.iter().map(|x| x.byte_width() as usize + 8).sum(),
         }
     }
@@ -245,25 +273,30 @@ impl Column {
         }
     }
 
-    /// Build a typed column from row `col` of `rows`.
-    fn from_rows(rows: &[Row], col: usize) -> Column {
+    /// Build a typed column from `vals`, walking them twice: once to pick
+    /// the type, once to fill it. Both rows ([`ColBatch::from_rows`]) and
+    /// aggregate groups become columns through here.
+    fn from_values<'a, I>(vals: I) -> Column
+    where
+        I: ExactSizeIterator<Item = &'a Value> + Clone,
+    {
         let (mut ints, mut floats, mut strs, mut nulls) = (false, false, false, false);
-        for r in rows {
-            match &r[col] {
+        for v in vals.clone() {
+            match v {
                 Value::Int(_) => ints = true,
                 Value::Float(_) => floats = true,
                 Value::Str(_) => strs = true,
                 Value::Null => nulls = true,
             }
         }
-        let n = rows.len();
-        let validity_from = |rows: &[Row]| -> Validity {
+        let n = vals.len();
+        let validity = || -> Validity {
             if !nulls {
                 return None;
             }
             let mut words = all_valid_words(n);
-            for (i, r) in rows.iter().enumerate() {
-                if r[col].is_null() {
+            for (i, v) in vals.clone().enumerate() {
+                if v.is_null() {
                     bit_clear(&mut words, i);
                 }
             }
@@ -271,29 +304,29 @@ impl Column {
         };
         match (ints, floats, strs) {
             (true, false, false) | (false, false, false) => Column::Int {
-                vals: rows.iter().map(|r| r[col].as_int().unwrap_or(0)).collect(),
+                vals: vals.clone().map(|v| v.as_int().unwrap_or(0)).collect(),
                 validity: if ints {
-                    validity_from(rows)
+                    validity()
                 } else {
                     Some(vec![0; n.div_ceil(64)])
                 },
             },
             (false, true, false) => Column::Float {
-                vals: rows
-                    .iter()
-                    .map(|r| match &r[col] {
+                vals: vals
+                    .clone()
+                    .map(|v| match v {
                         Value::Float(x) => *x,
                         _ => 0.0,
                     })
                     .collect(),
-                validity: validity_from(rows),
+                validity: validity(),
             },
             (false, false, true) => {
                 let mut dict: Vec<Arc<str>> = Vec::new();
                 let mut lookup: HashMap<Arc<str>, u32> = HashMap::new();
-                let codes = rows
-                    .iter()
-                    .map(|r| match &r[col] {
+                let codes = vals
+                    .clone()
+                    .map(|v| match v {
                         Value::Str(s) => *lookup.entry(s.clone()).or_insert_with(|| {
                             dict.push(s.clone());
                             (dict.len() - 1) as u32
@@ -304,10 +337,10 @@ impl Column {
                 Column::Str {
                     dict: dict.into(),
                     codes,
-                    validity: validity_from(rows),
+                    validity: validity(),
                 }
             }
-            _ => Column::Mixed(rows.iter().map(|r| r[col].clone()).collect()),
+            _ => Column::Mixed(vals.cloned().collect()),
         }
     }
 }
@@ -329,7 +362,7 @@ impl ColBatch {
         ColBatch {
             len: rows.len(),
             cols: (0..width)
-                .map(|c| Arc::new(Column::from_rows(rows, c)))
+                .map(|c| Arc::new(Column::from_values(rows.iter().map(|r| &r[c]))))
                 .collect(),
         }
     }
@@ -344,9 +377,9 @@ impl ColBatch {
         self.cols.iter().map(|c| c.value_at(i)).collect()
     }
 
-    /// Approximate heap bytes.
+    /// Approximate heap bytes, a shared dictionary counted once.
     pub fn bytes(&self) -> usize {
-        self.cols.iter().map(|c| c.bytes()).sum()
+        batches_bytes(std::slice::from_ref(self))
     }
 
     fn gather(&self, idx: &[u32]) -> ColBatch {
@@ -382,8 +415,21 @@ pub fn batches_to_rows(batches: &[ColBatch]) -> Table {
     out
 }
 
+/// Approximate heap bytes of `batches`, the spill budget's measure. Batches
+/// gathered or re-cut from one batch share its string dictionaries (`Arc`),
+/// so each distinct dictionary is counted once, not once per batch.
 fn batches_bytes(batches: &[ColBatch]) -> usize {
-    batches.iter().map(ColBatch::bytes).sum()
+    let mut dicts: HashSet<*const [Arc<str>]> = HashSet::new();
+    let mut bytes = 0;
+    for col in batches.iter().flat_map(|b| &b.cols) {
+        bytes += col.payload_bytes();
+        if let Column::Str { dict, .. } = &**col {
+            if dicts.insert(Arc::as_ptr(dict)) {
+                bytes += dict_bytes(dict);
+            }
+        }
+    }
+    bytes
 }
 
 fn batches_rows(batches: &[ColBatch]) -> usize {
@@ -807,6 +853,118 @@ fn filter_batch(batch: &ColBatch, preds: &[LoweredPred]) -> ColBatch {
 }
 
 // ---------------------------------------------------------------------------
+// Integer key ids
+// ---------------------------------------------------------------------------
+
+/// Dense ids `0, 1, 2, …` for the distinct values of a single non-null `Int`
+/// key column, numbered in first-seen order — the join table's key groups
+/// and the grouping's group ids.
+///
+/// A key indexes a slot array when the observed range is narrow enough that
+/// the array needs no more memory than the hash map it replaces would
+/// reserve for the same rows ([`hashed_bytes`]); otherwise the key is hashed
+/// with std's SipHash, as before, so a sparse or hostile key range costs
+/// exactly what it did. Keys are other nodes' data: the choice is a memory
+/// rule over the observed range and row count, never a workload setting.
+struct IntIds {
+    len: u32,
+    index: IdIndex,
+}
+
+enum IdIndex {
+    /// `slots[key - min]` holds the key's id + 1; 0 means absent, so the
+    /// array is a zeroed allocation whose untouched pages are never faulted.
+    Direct {
+        min: i64,
+        slots: Vec<u32>,
+    },
+    Hashed(HashMap<i64, u32>),
+}
+
+/// Bytes std's `HashMap<i64, u32>` reserves for `rows` entries: its table
+/// rounds `rows * 8 / 7` up to a power-of-two bucket count (4 or 8 buckets
+/// below 8 rows), each bucket a 16-byte `(i64, u32)` entry plus a control
+/// byte, plus one trailing 16-byte control group.
+fn hashed_bytes(rows: usize) -> usize {
+    let buckets = match rows {
+        0 => return 0,
+        1..=3 => 4,
+        4..=7 => 8,
+        _ => (rows * 8 / 7).next_power_of_two(),
+    };
+    buckets * 17 + 16
+}
+
+/// `key`'s slot in a direct index starting at `min`. The subtraction wraps,
+/// so a key below `min` (or one whose distance does not fit) lands past the
+/// end of any slot array instead of aliasing a slot.
+fn offset(min: i64, key: i64) -> usize {
+    usize::try_from(key.wrapping_sub(min) as u64).unwrap_or(usize::MAX)
+}
+
+impl IntIds {
+    /// Ids for the keys of `cols` — no id assigned yet — indexed or hashed
+    /// by their observed range and count. A hashed index reserves room for
+    /// `reserve` keys up front.
+    fn over(cols: &[&[i64]], reserve: usize) -> IntIds {
+        let rows: usize = cols.iter().map(|c| c.len()).sum();
+        let mut all = cols.iter().flat_map(|c| c.iter().copied());
+        let range = all
+            .next()
+            .map(|first| all.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k))));
+        // In `i128`: the span of `i64::MIN..=i64::MAX` overflows `i64`.
+        let span = range.map_or(0, |(min, max)| max as i128 - min as i128 + 1);
+        let index = match range {
+            Some((min, _)) if span * 4 <= hashed_bytes(rows) as i128 => IdIndex::Direct {
+                min,
+                slots: vec![0; span as usize],
+            },
+            _ => IdIndex::Hashed(HashMap::with_capacity(reserve)),
+        };
+        IntIds { len: 0, index }
+    }
+
+    /// Appends the id of each key to `ids`, numbering a key not seen before
+    /// `len` and calling `fresh(key)` for it. (One loop per index kind: a
+    /// per-key call that matches on the kind each time costs the integer
+    /// grouping ~10 %.)
+    fn assign(&mut self, keys: &[i64], ids: &mut Vec<u32>, mut fresh: impl FnMut(i64)) {
+        let len = &mut self.len;
+        match &mut self.index {
+            IdIndex::Direct { min, slots } => {
+                for &k in keys {
+                    let slot = &mut slots[offset(*min, k)];
+                    if *slot == 0 {
+                        *len += 1;
+                        *slot = *len;
+                        fresh(k);
+                    }
+                    ids.push(*slot - 1);
+                }
+            }
+            IdIndex::Hashed(map) => {
+                for &k in keys {
+                    let id = *map.entry(k).or_insert_with(|| {
+                        *len += 1;
+                        fresh(k);
+                        *len - 1
+                    });
+                    ids.push(id);
+                }
+            }
+        }
+    }
+
+    /// The id of `key`, if it has one.
+    fn get(&self, key: i64) -> Option<u32> {
+        match &self.index {
+            IdIndex::Direct { min, slots } => slots.get(offset(*min, key))?.checked_sub(1),
+            IdIndex::Hashed(map) => map.get(&key).copied(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Hash-join machinery
 // ---------------------------------------------------------------------------
 
@@ -815,11 +973,11 @@ fn filter_batch(batch: &ColBatch, preds: &[LoweredPred]) -> ColBatch {
 /// concatenated build batch, in build order — matching the row executor's
 /// per-key insertion order.
 enum JoinTable {
-    /// Every key's match list in one allocation: `group_of[key]` numbers the
-    /// distinct keys, and `rows[starts[g]..starts[g + 1]]` are the build rows
-    /// of group `g`, ascending.
+    /// Every key's match list in one allocation: `ids` numbers the distinct
+    /// keys, and `rows[starts[g]..starts[g + 1]]` are the build rows of key
+    /// group `g`, ascending.
     Int {
-        group_of: HashMap<i64, u32>,
+        ids: IntIds,
         starts: Vec<u32>,
         rows: Vec<u32>,
     },
@@ -833,19 +991,14 @@ fn build_join_table(build: &ColBatch, keys: &[usize]) -> JoinTable {
             validity: None,
         } = &*build.cols[keys[0]]
         {
-            // One hash operation per build row assigns its group; a counting
-            // sort by group then lays the row ids out contiguously.
-            let mut group_of: HashMap<i64, u32> = HashMap::with_capacity(vals.len());
+            // One id lookup per build row assigns its group; a counting sort
+            // by group then lays the row ids out contiguously.
+            let mut ids = IntIds::over(&[vals.as_slice()], vals.len());
             let mut gids: Vec<u32> = Vec::with_capacity(vals.len());
-            let mut starts: Vec<u32> = vec![0]; // starts[g + 1] counts group g first
-            for &v in vals {
-                let fresh = (starts.len() - 1) as u32;
-                let g = *group_of.entry(v).or_insert(fresh);
-                if g == fresh {
-                    starts.push(0);
-                }
+            ids.assign(vals, &mut gids, |_| {});
+            let mut starts = vec![0u32; ids.len as usize + 1];
+            for &g in &gids {
                 starts[g as usize + 1] += 1;
-                gids.push(g);
             }
             for g in 1..starts.len() {
                 starts[g] += starts[g - 1];
@@ -857,11 +1010,7 @@ fn build_join_table(build: &ColBatch, keys: &[usize]) -> JoinTable {
                 rows[*at as usize] = i as u32;
                 *at += 1;
             }
-            return JoinTable::Int {
-                group_of,
-                starts,
-                rows,
-            };
+            return JoinTable::Int { ids, starts, rows };
         }
     }
     let mut t: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build.len);
@@ -878,18 +1027,12 @@ fn probe_batch(batch: &ColBatch, keys: &[usize], table: &JoinTable) -> (Vec<u32>
     let mut bidx = Vec::new();
     let mut pidx = Vec::new();
     match table {
-        JoinTable::Int {
-            group_of,
-            starts,
-            rows,
-        } => {
-            let mut emit = |key: &i64, probe_row: usize| {
-                if let Some(&g) = group_of.get(key) {
-                    let (from, to) = (starts[g as usize], starts[g as usize + 1]);
-                    for &b in &rows[from as usize..to as usize] {
-                        bidx.push(b);
-                        pidx.push(probe_row as u32);
-                    }
+        JoinTable::Int { ids, starts, rows } => {
+            let mut emit = |probe_row: usize, g: u32| {
+                let (from, to) = (starts[g as usize], starts[g as usize + 1]);
+                for &b in &rows[from as usize..to as usize] {
+                    bidx.push(b);
+                    pidx.push(probe_row as u32);
                 }
             };
             // The build side is all non-null Int, so only Int probe keys can
@@ -899,14 +1042,16 @@ fn probe_batch(batch: &ColBatch, keys: &[usize], table: &JoinTable) -> (Vec<u32>
                     vals,
                     validity: None,
                 } => {
-                    for (i, v) in vals.iter().enumerate() {
-                        emit(v, i);
+                    for (i, &v) in vals.iter().enumerate() {
+                        if let Some(g) = ids.get(v) {
+                            emit(i, g);
+                        }
                     }
                 }
                 other => {
                     for i in 0..batch.len {
-                        if let Value::Int(v) = other.value_at(i) {
-                            emit(&v, i);
+                        if let Some(g) = other.value_at(i).as_int().and_then(|v| ids.get(v)) {
+                            emit(i, g);
                         }
                     }
                 }
@@ -1483,7 +1628,7 @@ fn nl_join(
 /// Group-id assignment: specialized on a single non-null Int key, on a
 /// single non-null dictionary-coded Str key, or generic.
 enum GroupKeys {
-    Int(HashMap<i64, u32>),
+    Int(IntIds),
     /// Strings are hashed once per (dictionary, code), not once per row:
     /// `code_gid[code]` caches the group of a code of the dictionary `of`,
     /// and is kept across consecutive batches that share that dictionary.
@@ -1497,6 +1642,69 @@ enum GroupKeys {
 
 /// `code_gid` entry of a dictionary code no row has referred to yet.
 const UNRESOLVED: u32 = u32::MAX;
+
+/// Aggregate groups, flat and in first-seen order: group `g`'s key is
+/// `keys[g * nk..(g + 1) * nk]` and its `j`-th aggregate state
+/// `states[g * aggs.len() + j]` — no allocation per group.
+struct Groups<'a> {
+    aggs: &'a [(AggFunc, Option<usize>)],
+    keys: Vec<Value>,
+    states: Vec<AggState>,
+    len: usize,
+}
+
+impl Groups<'_> {
+    /// Appends a group keyed `key`; returns its id. Kept out of line: it runs
+    /// once per group, and inlined it bloats the per-row id loops that call
+    /// it (the dictionary-code loop ran ~20 % slower).
+    #[inline(never)]
+    fn add(&mut self, key: &[Value]) -> u32 {
+        self.keys.extend_from_slice(key);
+        self.states
+            .extend(self.aggs.iter().map(|&(f, _)| AggState::new(f)));
+        self.len += 1;
+        (self.len - 1) as u32
+    }
+
+    /// The groups as rows `key ++ finished states`, straight into typed
+    /// columns cut at `batch_rows`.
+    fn emit(self, nk: usize, batch_rows: usize) -> Vec<ColBatch> {
+        let na = self.aggs.len();
+        let finished: Vec<Value> = self.states.into_iter().map(AggState::finish).collect();
+        let column = |flat: &[Value], stride: usize, c: usize, groups: std::ops::Range<usize>| {
+            Arc::new(Column::from_values(groups.map(|g| &flat[g * stride + c])))
+        };
+        let step = batch_rows.max(1);
+        (0..self.len)
+            .step_by(step)
+            .map(|lo| {
+                let groups = lo..(lo + step).min(self.len);
+                ColBatch {
+                    len: groups.len(),
+                    cols: (0..nk)
+                        .map(|c| column(&self.keys, nk, c, groups.clone()))
+                        .chain((0..na).map(|j| column(&finished, na, j, groups.clone())))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The column `key` of every batch as non-null `i64`s, if it is one in all
+/// of them.
+fn int_key_cols(batches: &[ColBatch], key: usize) -> Option<Vec<&[i64]>> {
+    batches
+        .iter()
+        .map(|b| match &*b.cols[key] {
+            Column::Int {
+                vals,
+                validity: None,
+            } => Some(vals.as_slice()),
+            _ => None,
+        })
+        .collect()
+}
 
 fn hash_aggregate(
     in_batches: &[ColBatch],
@@ -1512,12 +1720,19 @@ fn hash_aggregate(
         return spill_aggregate(in_batches, width, key_cols, aggs, ctx, stats);
     }
     let t0 = Instant::now();
-    let single_key = |typed: fn(&Column) -> bool| {
-        key_cols.len() == 1 && in_batches.iter().all(|b| typed(&b.cols[key_cols[0]]))
-    };
-    let mut keys = if single_key(|c| matches!(c, Column::Int { validity: None, .. })) {
-        GroupKeys::Int(HashMap::new())
-    } else if single_key(|c| matches!(c, Column::Str { validity: None, .. })) {
+    let single_key = key_cols.len() == 1;
+    let int_cols = single_key
+        .then(|| int_key_cols(in_batches, key_cols[0]))
+        .flatten();
+    let mut keys = if let Some(cols) = int_cols {
+        // The input rows bound the groups the index must hold; a hashed
+        // index starts empty and grows, as it always has.
+        GroupKeys::Int(IntIds::over(&cols, 0))
+    } else if single_key
+        && in_batches
+            .iter()
+            .all(|b| matches!(&*b.cols[key_cols[0]], Column::Str { validity: None, .. }))
+    {
         GroupKeys::Str {
             map: HashMap::new(),
             of: None,
@@ -1526,23 +1741,23 @@ fn hash_aggregate(
     } else {
         GroupKeys::Generic(HashMap::new())
     };
-    let mut group_rows: Vec<Vec<Value>> = Vec::new(); // first-seen order
-    let mut states: Vec<Vec<AggState>> = Vec::new();
+    let na = aggs.len();
+    let mut groups = Groups {
+        aggs,
+        keys: Vec::new(),
+        states: Vec::new(),
+        len: 0,
+    };
     let mut gids: Vec<u32> = Vec::new();
     for b in in_batches {
         gids.clear();
         gids.reserve(b.len);
         match &mut keys {
-            GroupKeys::Int(map) => {
+            GroupKeys::Int(ids) => {
                 if let Column::Int { vals, .. } = &*b.cols[key_cols[0]] {
-                    for &v in vals {
-                        let gid = *map.entry(v).or_insert_with(|| {
-                            group_rows.push(vec![Value::Int(v)]);
-                            states.push(aggs.iter().map(|&(f, _)| AggState::new(f)).collect());
-                            (group_rows.len() - 1) as u32
-                        });
-                        gids.push(gid);
-                    }
+                    ids.assign(vals, &mut gids, |k| {
+                        groups.add(&[Value::Int(k)]);
+                    });
                 }
             }
             GroupKeys::Str { map, of, code_gid } => {
@@ -1558,11 +1773,9 @@ fn hash_aggregate(
                         let slot = &mut code_gid[code as usize];
                         if *slot == UNRESOLVED {
                             let s = &dict[code as usize];
-                            *slot = *map.entry(s.clone()).or_insert_with(|| {
-                                group_rows.push(vec![Value::Str(s.clone())]);
-                                states.push(aggs.iter().map(|&(f, _)| AggState::new(f)).collect());
-                                (group_rows.len() - 1) as u32
-                            });
+                            *slot = *map
+                                .entry(s.clone())
+                                .or_insert_with(|| groups.add(&[Value::Str(s.clone())]));
                         }
                         gids.push(*slot);
                     }
@@ -1571,59 +1784,49 @@ fn hash_aggregate(
             GroupKeys::Generic(map) => {
                 for i in 0..b.len {
                     let key: Vec<Value> = key_cols.iter().map(|&k| b.value_at(k, i)).collect();
-                    let gid = *map.entry(key.clone()).or_insert_with(|| {
-                        group_rows.push(key);
-                        states.push(aggs.iter().map(|&(f, _)| AggState::new(f)).collect());
-                        (group_rows.len() - 1) as u32
-                    });
+                    let gid = match map.get(&key) {
+                        Some(&gid) => gid,
+                        None => {
+                            let gid = groups.add(&key);
+                            map.insert(key, gid);
+                            gid
+                        }
+                    };
                     gids.push(gid);
                 }
             }
         }
         for (j, &(func, arg)) in aggs.iter().enumerate() {
-            fold_agg_column(b, &gids, func, arg, j, &mut states)?;
+            fold_agg_column(b, &gids, func, arg, j, na, &mut groups.states)?;
         }
     }
     // Scalar aggregate over zero rows still yields one (NULL-heavy) row.
-    if key_cols.is_empty() && group_rows.is_empty() {
-        group_rows.push(Vec::new());
-        states.push(aggs.iter().map(|&(f, _)| AggState::new(f)).collect());
+    if key_cols.is_empty() && groups.len == 0 {
+        groups.add(&[]);
     }
-    let out_rows: Table = group_rows
-        .into_iter()
-        .zip(states)
-        .map(|(mut key, st)| {
-            key.extend(st.into_iter().map(AggState::finish));
-            key
-        })
-        .collect();
-    let out = rows_to_batches(&out_rows, width, ctx.cfg.batch_rows);
-    timing(
-        stats,
-        "HashAggregate",
-        rows_in,
-        out_rows.len(),
-        bytes_in,
-        t0,
-    );
+    let rows_out = groups.len;
+    let out = groups.emit(key_cols.len(), ctx.cfg.batch_rows);
+    timing(stats, "HashAggregate", rows_in, rows_out, bytes_in, t0);
     Ok(out)
 }
 
-/// Fold one aggregate over a whole batch, vectorized per column type. The
-/// per-state fold order is the input row order, identical to the row
-/// executor's per-row fold.
+/// Fold aggregate `j` (of `na` per group) over a whole batch, vectorized per
+/// column type. The per-state fold order is the input row order, identical
+/// to the row executor's per-row fold.
 fn fold_agg_column(
     b: &ColBatch,
     gids: &[u32],
     func: AggFunc,
     arg: Option<usize>,
     j: usize,
-    states: &mut [Vec<AggState>],
+    na: usize,
+    states: &mut [AggState],
 ) -> Result<(), ExecError> {
+    let at = |g: u32| g as usize * na + j;
     match (func, arg.map(|a| &*b.cols[a])) {
         (AggFunc::Count, _) => {
             for &g in gids {
-                if let AggState::Count(n) = &mut states[g as usize][j] {
+                if let AggState::Count(n) = &mut states[at(g)] {
                     *n += 1;
                 }
             }
@@ -1636,7 +1839,7 @@ fn fold_agg_column(
             }),
         ) => {
             for (&g, &v) in gids.iter().zip(vals) {
-                if let AggState::Sum(acc) = &mut states[g as usize][j] {
+                if let AggState::Sum(acc) = &mut states[at(g)] {
                     acc.add_int(v);
                 }
             }
@@ -1649,7 +1852,7 @@ fn fold_agg_column(
             }),
         ) => {
             for (&g, &v) in gids.iter().zip(vals) {
-                if let AggState::Sum(acc) = &mut states[g as usize][j] {
+                if let AggState::Sum(acc) = &mut states[at(g)] {
                     acc.add_float(v);
                 }
             }
@@ -1657,7 +1860,7 @@ fn fold_agg_column(
         _ => {
             for (i, &g) in gids.iter().enumerate() {
                 let v = arg.map(|a| b.value_at(a, i));
-                states[g as usize][j].fold(v.as_ref())?;
+                states[at(g)].fold(v.as_ref())?;
             }
         }
     }
@@ -2080,20 +2283,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn int_join_table_keeps_build_order_for_duplicate_and_absent_keys() {
-        // Build keys repeat across batches (5, 9, 5, 7, 9, 5, ...); probe
-        // keys include values the build side lacks, a NULL and a string.
+    /// Two relations of (key, payload) rows, the keys as given.
+    fn two(build: &[Value], probe: &[Value]) -> Mem {
+        let rel = |keys: &[Value]| -> Table {
+            keys.iter()
+                .enumerate()
+                .map(|(i, k)| vec![k.clone(), Value::Int(i as i64)])
+                .collect()
+        };
+        Mem([
+            (PartId::new(RelId(0), 0), rel(build)),
+            (PartId::new(RelId(1), 0), rel(probe)),
+        ]
+        .into_iter()
+        .collect())
+    }
+
+    /// `rel0 ⋈ rel1` on their first columns, building on `rel0`.
+    fn key_join() -> PhysPlan {
+        PhysPlan::HashJoin {
+            left: Box::new(scan(0, 2)),
+            right: Box::new(scan(1, 2)),
+            left_keys: vec![Col::new(RelId(0), 0)],
+            right_keys: vec![Col::new(RelId(1), 0)],
+        }
+    }
+
+    /// `SUM(payload), COUNT(*)` of `rel` grouped by its first column.
+    fn per_key(rel: u32) -> PhysPlan {
+        PhysPlan::HashAggregate {
+            input: Box::new(scan(rel, 2)),
+            group_by: vec![Col::new(RelId(rel), 0)],
+            aggs: vec![
+                AggSpec {
+                    func: AggFunc::Sum,
+                    arg: Some(Col::new(RelId(rel), 1)),
+                },
+                AggSpec {
+                    func: AggFunc::Count,
+                    arg: None,
+                },
+            ],
+        }
+    }
+
+    fn ints(keys: &[i64]) -> Vec<Value> {
+        keys.iter().map(|&k| Value::Int(k)).collect()
+    }
+
+    /// Whether the join table built over `keys` indexes them directly.
+    fn join_is_direct(keys: &[i64]) -> bool {
+        let build = ColBatch::from_rows(
+            &keys.iter().map(|&k| vec![Value::Int(k)]).collect::<Table>(),
+            1,
+        );
+        match build_join_table(&build, &[0]) {
+            JoinTable::Int { ids, .. } => matches!(ids.index, IdIndex::Direct { .. }),
+            JoinTable::Generic(_) => panic!("a non-null Int key takes the Int table"),
+        }
+    }
+
+    /// Join and group-by of `build`/`probe` keys equal the row oracle at
+    /// batch sizes 1, 7 and 1024.
+    fn assert_keys_match(build: &[Value], probe: &[Value]) {
+        let src = two(build, probe);
+        for batch_rows in [1, 7, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            for plan in [key_join(), per_key(0), per_key(1)] {
+                assert_oracle_match(&plan, &src, &cfg);
+            }
+        }
+    }
+
+    /// Build keys repeat across batches (k5, k9, k5, k7, k9, k5, ...); probe
+    /// keys include a value the build side lacks, a NULL and a string.
+    fn join_keeps_build_order(key: fn(i64) -> i64) {
         let build: Table = (0..40)
-            .map(|i| vec![Value::Int([5, 9, 5, 7][i % 4]), Value::Int(i as i64)])
+            .map(|i| vec![Value::Int(key([5, 9, 5, 7][i % 4])), Value::Int(i as i64)])
             .collect();
         let probe: Table = vec![
-            vec![Value::Int(9), Value::str("p0")],
-            vec![Value::Int(6), Value::str("p1")],
+            vec![Value::Int(key(9)), Value::str("p0")],
+            vec![Value::Int(key(6)), Value::str("p1")],
             vec![Value::Null, Value::str("p2")],
-            vec![Value::Int(5), Value::str("p3")],
+            vec![Value::Int(key(5)), Value::str("p3")],
             vec![Value::str("5"), Value::str("p4")],
-            vec![Value::Int(9), Value::str("p5")],
+            vec![Value::Int(key(9)), Value::str("p5")],
         ];
         let src = Mem([
             (PartId::new(RelId(0), 0), build),
@@ -2101,12 +2378,7 @@ mod tests {
         ]
         .into_iter()
         .collect());
-        let plan = PhysPlan::HashJoin {
-            left: Box::new(scan(0, 2)),
-            right: Box::new(scan(1, 2)),
-            left_keys: vec![Col::new(RelId(0), 0)],
-            right_keys: vec![Col::new(RelId(1), 0)],
-        };
+        let plan = key_join();
         for batch_rows in [1, 7, 1024] {
             let cfg = ColumnarConfig {
                 batch_rows,
@@ -2125,6 +2397,218 @@ mod tests {
             of_p3.windows(2).all(|w| w[0] < w[1]),
             "build order: {of_p3:?}"
         );
+    }
+
+    #[test]
+    fn int_join_table_keeps_build_order_for_duplicate_and_absent_keys() {
+        assert!(join_is_direct(&[5, 9, 7]));
+        join_keeps_build_order(|k| k);
+    }
+
+    #[test]
+    fn hashed_int_join_table_keeps_build_order_for_duplicate_and_absent_keys() {
+        let spread = |k: i64| k << 50;
+        assert!(!join_is_direct(&[spread(5), spread(9), spread(7)]));
+        join_keeps_build_order(spread);
+    }
+
+    #[test]
+    fn negative_keys_index_directly() {
+        let build = [-7, -3, -7, 0, -1, -3, 2];
+        assert!(join_is_direct(&build));
+        assert_keys_match(&ints(&build), &ints(&[-3, -8, 2, -7, 3, -1, i64::MIN]));
+    }
+
+    #[test]
+    fn a_build_holding_both_extremes_is_hashed() {
+        let build = [i64::MAX, 0, i64::MIN, -1, i64::MAX];
+        assert!(!join_is_direct(&build));
+        assert_keys_match(
+            &ints(&build),
+            &ints(&[i64::MIN, 1, i64::MAX, -1, 0, i64::MIN + 1]),
+        );
+    }
+
+    #[test]
+    fn probe_keys_outside_the_direct_range_miss() {
+        // Near the top of the domain `key - min` wraps for a probe at the
+        // bottom, and near the bottom for a probe at the top: both must land
+        // past the slot array, not on a slot.
+        let top = [i64::MAX - 2, i64::MAX, i64::MAX - 1];
+        let bottom = [i64::MIN + 2, i64::MIN, i64::MIN + 1];
+        for build in [top, bottom] {
+            assert!(join_is_direct(&build));
+            let probe = [i64::MIN, i64::MIN + 1, i64::MIN + 2, i64::MIN + 3, -1, 0, 1]
+                .into_iter()
+                .chain([i64::MAX, i64::MAX - 1, i64::MAX - 2, i64::MAX - 3]);
+            assert_keys_match(&ints(&build), &ints(&probe.collect::<Vec<_>>()));
+        }
+        let build = [10, 12, 11];
+        assert_keys_match(&ints(&build), &ints(&[9, 13, 10, 12, -10, 0, 1 << 40]));
+    }
+
+    #[test]
+    fn null_float_and_str_probe_keys_miss_a_direct_table() {
+        let build = [5, 6, 5, 7];
+        assert!(join_is_direct(&build));
+        // A nullable Int probe column, then a Mixed one.
+        let nullable = [Value::Int(5), Value::Null, Value::Int(7), Value::Null];
+        let mixed = [
+            Value::Float(5.0),
+            Value::Int(6),
+            Value::str("5"),
+            Value::Null,
+            Value::Int(5),
+            Value::Float(7.0),
+        ];
+        for probe in [&nullable[..], &mixed[..]] {
+            assert_keys_match(&ints(&build), probe);
+        }
+    }
+
+    #[test]
+    fn the_direct_index_is_chosen_by_memory_up_to_the_boundary() {
+        // 8 keys reserve 16 buckets × 17 bytes + 16 = 288 bytes hashed: a
+        // span of 72 four-byte slots fits exactly, 73 does not.
+        assert_eq!(hashed_bytes(8), 288);
+        assert_eq!(hashed_bytes(7924), 16_384 * 17 + 16);
+        for (max, direct) in [(71, true), (72, false)] {
+            let build = [0, 1, 2, 3, 4, 5, 6, max];
+            assert_eq!(join_is_direct(&build), direct, "span {}", max + 1);
+            assert_eq!(
+                matches!(IntIds::over(&[&build[..]], 0).index, IdIndex::Direct { .. }),
+                direct
+            );
+            assert_keys_match(&ints(&build), &ints(&[max, 6, max - 1, 0, 8]));
+        }
+    }
+
+    #[test]
+    fn more_groups_than_a_batch_come_out_in_first_seen_order() {
+        // 50 distinct keys first seen in a scrambled order, each seen again.
+        let order: Vec<i64> = (0..50).map(|i| (i * 37) % 50).collect();
+        let spreads: [fn(i64) -> i64; 2] = [|k| k - 25, |k| k << 40];
+        for key in spreads {
+            let keys: Vec<i64> = order
+                .iter()
+                .chain(order.iter().rev())
+                .map(|&k| key(k))
+                .collect();
+            assert_eq!(
+                matches!(IntIds::over(&[&keys[..]], 0).index, IdIndex::Direct { .. }),
+                key(1) - key(0) == 1
+            );
+            let src = two(&ints(&keys), &[]);
+            let cfg = ColumnarConfig {
+                batch_rows: 7,
+                ..Default::default()
+            };
+            let (out, _) = execute_columnar_batches(&per_key(0), &src, &[], &cfg).unwrap();
+            assert_eq!(out.len(), 8, "50 groups cut at 7");
+            assert!(out.iter().all(|b| b.len <= 7));
+            let firsts: Vec<Value> = batches_to_rows(&out)
+                .into_iter()
+                .map(|r| r[0].clone())
+                .collect();
+            assert_eq!(firsts, ints(&keys[..50]));
+            assert_oracle_match(&per_key(0), &src, &cfg);
+        }
+    }
+
+    #[test]
+    fn scalar_aggregate_over_zero_rows_emits_one_row() {
+        let src = store(40);
+        let plan = PhysPlan::HashAggregate {
+            input: Box::new(PhysPlan::Filter {
+                input: Box::new(scan(0, 3)),
+                predicates: vec![Predicate::with_const(
+                    Col::new(RelId(0), 1),
+                    CompOp::Lt,
+                    0i64,
+                )],
+            }),
+            group_by: vec![],
+            aggs: [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Avg]
+                .into_iter()
+                .map(|func| AggSpec {
+                    func,
+                    arg: (func != AggFunc::Count).then_some(Col::new(RelId(0), 2)),
+                })
+                .collect(),
+        };
+        for batch_rows in [1, 1024] {
+            let cfg = ColumnarConfig {
+                batch_rows,
+                ..Default::default()
+            };
+            assert_oracle_match(&plan, &src, &cfg);
+        }
+        let got = execute_columnar(&plan, &src, &[], &ColumnarConfig::default()).unwrap();
+        assert_eq!(
+            got,
+            vec![vec![
+                Value::Null,
+                Value::Int(0),
+                Value::Null,
+                Value::Float(0.0)
+            ]]
+        );
+    }
+
+    /// 200 rows whose string column has 40 distinct 100-byte values, as one
+    /// batch: a 4 000-byte dictionary.
+    fn long_strings() -> Table {
+        (0..200)
+            .map(|i| vec![Value::str(format!("{:0>100}", i % 40)), Value::Int(i)])
+            .collect()
+    }
+
+    #[test]
+    fn batches_sharing_a_dictionary_count_it_once() {
+        let one = ColBatch::from_rows(&long_strings(), 2);
+        let payload = 200 * 4 + 200 * 8;
+        assert_eq!(one.bytes(), payload + 4000);
+        let gathered: Vec<ColBatch> = (0..20u32)
+            .map(|i| one.gather(&(i * 10..i * 10 + 10).collect::<Vec<_>>()))
+            .collect();
+        assert_eq!(batches_bytes(&gathered), payload + 4000);
+        // Two batches with their own dictionaries count both.
+        let other = ColBatch::from_rows(&long_strings(), 2);
+        assert_eq!(batches_bytes(&[one, other]), 2 * (payload + 4000));
+    }
+
+    #[test]
+    fn a_shared_dictionary_does_not_push_an_aggregate_over_budget() {
+        // Input re-cuts the one batch into 20 that share its dictionary:
+        // 6 400 bytes, counted 82 400 when each batch paid for it.
+        let table = long_strings();
+        let delivered = [rows_to_batches(&table, 2, 1024)];
+        let plan = PhysPlan::HashAggregate {
+            input: Box::new(PhysPlan::Input {
+                slot: 0,
+                schema: vec![Col::new(RelId(5), 0), Col::new(RelId(5), 1)],
+            }),
+            group_by: vec![Col::new(RelId(5), 0)],
+            aggs: vec![AggSpec {
+                func: AggFunc::Sum,
+                arg: Some(Col::new(RelId(5), 1)),
+            }],
+        };
+        let cfg = ColumnarConfig {
+            batch_rows: 10,
+            mem_budget_bytes: 10_000,
+            spill_partitions: 4,
+        };
+        let (out, stats) = execute_columnar_batches(&plan, &store(0), &delivered, &cfg).unwrap();
+        assert_eq!(stats.spill_files, 0);
+        let agg = stats
+            .timings
+            .iter()
+            .find(|t| t.op == "HashAggregate")
+            .unwrap();
+        assert_eq!(agg.bytes_in, 6400);
+        let oracle = execute(&plan, &store(0), &[table]).unwrap();
+        assert_eq!(batches_to_rows(&out), oracle);
     }
 
     #[test]

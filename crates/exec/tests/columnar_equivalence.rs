@@ -1,5 +1,7 @@
 //! Property-based equivalence: the columnar executor is bit-identical to the
 //! row executor (the correctness oracle) on random plans over random data —
+//! narrow integer keys and widely spread ones, so joins and group-bys run
+//! both their direct-indexed and their hashed key ids —
 //! same rows, same order — across batch sizes {1, 7, 1024}, spill budgets
 //! {tiny (everything spills), unlimited}, and `QT_THREADS` ∈ {1, 4}, whether
 //! scans transpose rows per query (a hand-written source), share a
@@ -43,18 +45,36 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Key stride of a wide table: five keys 2^40 apart span more than any
+/// slot array may take for 24 rows.
+const STRIDE: i64 = 1 << 40;
+
 /// Rows of (int key, any value, int payload) — col 0 stays Int so hash joins
-/// exercise the specialized Int kernel, col 1 exercises Mixed/Null paths.
+/// and group-bys exercise the specialized Int kernels, col 1 exercises
+/// Mixed/Null paths. The key spread is drawn per table: narrow keys `0..5`
+/// are indexed directly; wide ones — `0..5` times [`STRIDE`], with
+/// `i64::MIN` and `i64::MAX` mixed in — are hashed (unless a table holds a
+/// single distinct key), so both key-id paths meet the oracle on both the
+/// build and the probe side.
 fn rows_strategy() -> impl Strategy<Value = Table> {
-    prop::collection::vec(
-        (
-            (0i64..5).prop_map(Value::Int),
-            value_strategy(),
-            (-9i64..9).prop_map(Value::Int),
-        ),
-        0..24,
-    )
-    .prop_map(|rows| rows.into_iter().map(|(a, b, c)| vec![a, b, c]).collect())
+    let row = (
+        (0i64..5, 0u8..6),
+        value_strategy(),
+        (-9i64..9).prop_map(Value::Int),
+    );
+    (any::<bool>(), prop::collection::vec(row, 0..24)).prop_map(|(wide, rows)| {
+        rows.into_iter()
+            .map(|((k, extreme), b, c)| {
+                let key = match (wide, extreme) {
+                    (false, _) => k,
+                    (true, 0) => i64::MIN,
+                    (true, 1) => i64::MAX,
+                    (true, _) => k * STRIDE,
+                };
+                vec![Value::Int(key), b, c]
+            })
+            .collect()
+    })
 }
 
 fn part(rel: u32) -> PartId {
