@@ -16,12 +16,15 @@
 //!   `NodeHoldings`, never the global [`Catalog`]. Only the *baseline*
 //!   optimizers (which model classical, full-knowledge distributed
 //!   optimization) are handed the global catalog.
+//! * [`fnv`] — [`Fnv1a`], the deterministic hasher behind hash
+//!   partitioning here and query fingerprints in `qt-query`.
 //!
 //! Nothing in this crate knows about queries, costs, or the network; those
 //! live in the crates stacked above.
 
 pub mod builder;
 pub mod error;
+pub mod fnv;
 pub mod ident;
 pub mod partition;
 pub mod placement;
@@ -31,6 +34,7 @@ pub mod value;
 
 pub use builder::CatalogBuilder;
 pub use error::CatalogError;
+pub use fnv::Fnv1a;
 pub use ident::{NodeId, PartId, RelId};
 pub use partition::{Partitioning, Restriction};
 pub use placement::{Catalog, NodeHoldings, Placement, RelationMeta, SchemaDict};

@@ -7,6 +7,7 @@
 //! algorithm (§3.4) conjoins to queries so that offers only promise data the
 //! seller actually holds (`office = 'Myconos'` in the running example).
 
+use crate::fnv::Fnv1a;
 use crate::schema::RelationSchema;
 use crate::value::Value;
 use std::fmt;
@@ -49,25 +50,12 @@ pub enum Restriction {
 }
 
 /// Deterministic value hash used by hash partitioning (and by the executor's
-/// repartitioning operators, so both sides agree).
+/// repartitioning operators, so both sides agree). [`Fnv1a`] rather than a
+/// fixed-seed `DefaultHasher`, whose SipHash is not stable across releases:
+/// partition layouts are reproducible forever.
 pub fn value_bucket(v: &Value, modulus: u32) -> u32 {
     use std::hash::{Hash, Hasher};
-    // FxHash-style multiply-xor over the std SipHash would also work, but a
-    // fixed-seed SipHash via DefaultHasher is not stable across releases;
-    // roll a tiny FNV-1a so partition layouts are reproducible forever.
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv1a::default();
     v.hash(&mut h);
     (h.finish() % modulus as u64) as u32
 }
