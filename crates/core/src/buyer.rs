@@ -62,7 +62,8 @@ pub struct BuyerEngine {
     /// Virtual round-trips spent by nested negotiations.
     pub negotiation_round_trips: u64,
     asked: BTreeSet<qt_query::Query>,
-    pending_items: Vec<RfbItem>,
+    /// Queries in the current round's RFB, for [`IterationStats`].
+    queries_asked: usize,
     round_offers: usize,
 }
 
@@ -87,7 +88,7 @@ impl BuyerEngine {
             negotiation_messages: 0,
             negotiation_round_trips: 0,
             asked: BTreeSet::new(),
-            pending_items: Vec::new(),
+            queries_asked: 0,
             round_offers: 0,
             query,
         }
@@ -101,7 +102,7 @@ impl BuyerEngine {
             ref_value: self.value_book.estimate(self.query.fingerprint()),
         };
         self.asked.insert(self.query.clone());
-        self.pending_items = vec![item.clone()];
+        self.queries_asked = 1;
         vec![item]
     }
 
@@ -193,7 +194,7 @@ impl BuyerEngine {
         self.history.push(IterationStats {
             round: self.round,
             offers_received: self.round_offers,
-            queries_asked: self.pending_items.len(),
+            queries_asked: self.queries_asked,
             best_cost: self
                 .best
                 .as_ref()
@@ -233,7 +234,7 @@ impl BuyerEngine {
             })
             .collect();
         self.round += 1;
-        self.pending_items = items.clone();
+        self.queries_asked = items.len();
         RoundOutcome::Continue(items)
     }
 

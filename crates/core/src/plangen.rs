@@ -226,11 +226,14 @@ impl<'a> PlanGenerator<'a> {
         // The fragment shape expected over each relation subset, derived at
         // the subset's first offer: a pool holds a handful of subsets.
         let mut shapes: HashMap<RelSet, Query> = HashMap::new();
+        // Offers' fingerprints are memoised in their query handles, so a
+        // mismatch settles "not the whole answer" without a deep comparison.
+        let target = self.query.fingerprint();
 
         for (i, o) in offers.iter().enumerate() {
             considered += 1;
             match o.kind {
-                _ if o.query == *self.query => {
+                _ if o.query.fingerprint() == target && o.query == *self.query => {
                     whole.push((i, o));
                     continue;
                 }
