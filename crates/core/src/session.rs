@@ -744,6 +744,7 @@ impl SessionManager {
                 // already traded for these rows and only buyer-local
                 // compensation remains — no rounds, no messages, and the
                 // trading slot stays free for the next arrival.
+                debug_assert!(plan.query == query, "a cached plan answers another query");
                 self.complete(SessionReport {
                     session: s,
                     arrived: self.arrive_times[s.0 as usize],
@@ -786,18 +787,25 @@ impl SessionManager {
         }
     }
 
-    /// Probe the shared result cache for `query`: an exact-fingerprint hit
-    /// reuses the cached plan outright; a semantic hit compensates the
-    /// cached plan for the subsumed query (and re-inserts the compensated
-    /// plan under the query's own key, so the next identical arrival hits
-    /// exactly). Returns `None` on a miss or with caching disabled.
+    /// Probe the shared result cache for `query`: an exact hit reuses the
+    /// cached plan outright; a semantic hit compensates the cached plan for
+    /// the subsumed query (and re-inserts the compensated plan under the
+    /// query's own key, so the next identical arrival hits exactly). Returns
+    /// `None` on a miss or with caching disabled.
+    ///
+    /// An exact hit needs the cached query itself to equal `query`, not just
+    /// its fingerprint: arrivals come from users and FNV-1a is not
+    /// collision-resistant, so a colliding entry would otherwise answer with
+    /// another query's plan. A collision holds the key, so it is a miss —
+    /// the session trades, and its finished plan takes the key over.
     fn try_result_cache(&mut self, query: &Query) -> Option<DistributedPlan> {
         let cache = self.serve.result_cache.as_ref()?;
         let mut c = cache.lock().expect("result cache lock");
         let key = query.fingerprint();
         match c.probe(key, query, true) {
             Probe::Exact => {
-                if let Some(plan) = c.get(key).map(|e| e.value.clone()) {
+                let hit = c.get(key).filter(|e| e.query == *query);
+                if let Some(plan) = hit.map(|e| e.value.clone()) {
                     c.record(ProbeOutcome::HitExact);
                     self.result_cache_hits += 1;
                     return Some(plan);

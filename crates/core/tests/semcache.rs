@@ -296,6 +296,57 @@ fn result_cache_serves_repeats_across_sessions() {
     assert_eq!(stats.misses, 1);
 }
 
+/// A result-cache entry under a query's key that holds another query's plan
+/// — a fingerprint collision, simulated through `SemCache::insert`'s explicit
+/// key — is a miss: the session trades, gets a plan for its own query, and
+/// that plan takes the key over.
+#[test]
+fn a_colliding_result_cache_entry_is_a_miss() {
+    let (cat, stores) = fed();
+    let all = union(&stores);
+    let c = cfg(true);
+    let q = parse_query(&cat.dict, NARROW).unwrap();
+    let other = parse_query(&cat.dict, AGG).unwrap();
+    let other_plan = run_qt_direct(
+        NodeId(0),
+        cat.dict.clone(),
+        &other,
+        &mut engines(&cat, &c),
+        &c,
+    )
+    .plan
+    .expect("plan for the other query");
+    let cache = new_result_cache(0);
+    cache
+        .lock()
+        .unwrap()
+        .insert(q.fingerprint(), other, other_plan, 1.0);
+    let out = run_qt_serve(
+        NodeId(0),
+        cat.dict.clone(),
+        vec![(0.0, q.clone())],
+        engines(&cat, &c),
+        &c,
+        &ServeConfig {
+            result_cache: Some(Arc::clone(&cache)),
+            ..ServeConfig::default()
+        },
+    );
+    assert_eq!((out.result_cache_hits, out.result_cache_misses), (0, 1));
+    let report = &out.reports[0];
+    assert!(report.iterations > 0, "the session traded");
+    let plan = report.plan.as_ref().expect("traded plan");
+    assert_eq!(plan.query, q);
+    let rows = plan.execute_on(&cat.dict, &stores).unwrap();
+    let want = evaluate_query(&q, &all).unwrap();
+    assert!(approx_same_rows(&rows, &want, 1e-9));
+    let cache = cache.lock().unwrap();
+    let entry = cache
+        .get(q.fingerprint())
+        .expect("the traded plan is published");
+    assert_eq!(entry.query, q);
+}
+
 /// An adaptive-markup award stales cached prices over the traded relations;
 /// the serving loop invalidates the overlap before publishing, so later
 /// identical arrivals re-trade instead of reusing pre-award plans.
