@@ -1,12 +1,17 @@
 //! Criterion micro-benches: the §3.4 query rewrite, the sub-query algebra
-//! under it (restriction to a relation subset, fingerprinting) and view
-//! matching.
+//! under it (restriction to a relation subset, fingerprinting), the
+//! deterministic hasher and view matching.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qt_catalog::{NodeId, RelId};
+use qt_catalog::partition::value_bucket;
+use qt_catalog::{NodeId, RelId, Value};
 use qt_query::views::match_view;
-use qt_query::{rewrite_for_holdings, MaterializedView};
-use qt_workload::{build_federation, gen_join_query, FederationSpec, QueryShape};
+use qt_query::{parse_query, rewrite_for_holdings, MaterializedView};
+use qt_workload::tpch::queries as tpch_queries;
+use qt_workload::{
+    build_federation, gen_join_query, telecom_federation, tpch_federation, FederationSpec,
+    QueryShape, TelecomSpec, TpchSpec,
+};
 use std::collections::BTreeSet;
 
 fn bench_rewrite(c: &mut Criterion) {
@@ -50,6 +55,41 @@ fn bench_rewrite(c: &mut Criterion) {
     });
 }
 
+/// The hasher's two paths: string constants go through its byte loop,
+/// integers and floats a word at a time; `value_bucket` places loaded rows.
+fn bench_hash(c: &mut Criterion) {
+    let (telecom, _) = telecom_federation(&TelecomSpec::default());
+    let strs = parse_query(
+        &telecom.dict,
+        "SELECT custname, charge FROM customer, invoiceline \
+         WHERE customer.custid = invoiceline.custid AND office = 'Myconos' \
+         AND custname <> 'cust7'",
+    )
+    .expect("telecom SQL parses");
+    c.bench_function("fingerprint/telecom_str", |b| {
+        b.iter(|| std::hint::black_box(strs.fingerprint()));
+    });
+    let (tpch, _, _) = tpch_federation(&TpchSpec::default());
+    let float = parse_query(&tpch.dict, tpch_queries::BIG_ORDER_LINES).expect("TPC-H SQL parses");
+    c.bench_function("fingerprint/tpch_float", |b| {
+        b.iter(|| std::hint::black_box(float.fingerprint()));
+    });
+    let values = [
+        Value::Int(7),
+        Value::Int(-40_000),
+        Value::Int(i64::MAX),
+        Value::Float(4000.0),
+        Value::str("Myconos"),
+        Value::str("cust1234"),
+    ];
+    c.bench_function("value_bucket/mixed", |b| {
+        b.iter(|| {
+            let v = std::hint::black_box(&values);
+            v.iter().map(|v| value_bucket(v, 1000)).sum::<u32>()
+        });
+    });
+}
+
 fn bench_view_match(c: &mut Criterion) {
     let fed = build_federation(&FederationSpec {
         nodes: 4,
@@ -70,5 +110,5 @@ fn bench_view_match(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_rewrite, bench_view_match);
+criterion_group!(benches, bench_rewrite, bench_hash, bench_view_match);
 criterion_main!(benches);
