@@ -173,18 +173,34 @@ pub struct NodeHoldings {
 impl NodeHoldings {
     /// Does this node hold any partition of `rel`?
     pub fn has_relation(&self, rel: RelId) -> bool {
-        self.held.keys().any(|p| p.rel == rel)
+        self.held_parts(rel).next().is_some()
+    }
+
+    /// The held partitions of `rel` with their statistics: one range of
+    /// `held`, since [`PartId`] orders by relation first.
+    fn held_of(
+        &self,
+        rel: RelId,
+    ) -> std::collections::btree_map::Range<'_, PartId, PartitionStats> {
+        self.held
+            .range(PartId::new(rel, 0)..=PartId::new(rel, u16::MAX))
+    }
+
+    /// The partitions of `rel` this node holds, in index order, without
+    /// collecting them.
+    pub fn held_parts(&self, rel: RelId) -> impl Iterator<Item = PartId> + '_ {
+        self.held_of(rel).map(|(&p, _)| p)
     }
 
     /// The partitions of `rel` this node holds.
     pub fn parts_of(&self, rel: RelId) -> Vec<PartId> {
-        self.held.keys().filter(|p| p.rel == rel).copied().collect()
+        self.held_parts(rel).collect()
     }
 
     /// Does this node hold *every* partition of `rel`?
     pub fn has_full_relation(&self, rel: RelId) -> bool {
         let total = self.dict.rel(rel).partitioning.num_partitions() as usize;
-        self.parts_of(rel).len() == total
+        self.held_parts(rel).count() == total
     }
 
     /// Statistics of a held partition.
@@ -195,9 +211,8 @@ impl NodeHoldings {
     /// Merged statistics of all held partitions of `rel`.
     pub fn local_relation_stats(&self, rel: RelId) -> PartitionStats {
         let arity = self.dict.rel(rel).schema.arity();
-        self.parts_of(rel)
-            .into_iter()
-            .filter_map(|p| self.held.get(&p))
+        self.held_of(rel)
+            .map(|(_, s)| s)
             .fold(PartitionStats::empty(arity), |acc, s| {
                 if acc.rows == 0 {
                     s.clone()
@@ -271,6 +286,22 @@ mod tests {
         assert!(!h1.has_full_relation(RelId(0)));
         assert!(h1.has_relation(RelId(0)));
         assert_eq!(h1.parts_of(RelId(0)), vec![PartId::new(RelId(0), 1)]);
+    }
+
+    #[test]
+    fn held_parts_reads_one_relation_between_its_neighbours() {
+        let mut h = two_node_catalog().holdings_of(NodeId(0));
+        for (rel, idx) in [(1, 0), (1, 3), (2, 1), (3, 0)] {
+            h.held
+                .insert(PartId::new(RelId(rel), idx), PartitionStats::empty(2));
+        }
+        for rel in 0..5 {
+            let rel = RelId(rel);
+            let scan: Vec<PartId> = h.held.keys().filter(|p| p.rel == rel).copied().collect();
+            assert_eq!(h.held_parts(rel).collect::<Vec<_>>(), scan, "{rel:?}");
+            assert_eq!(h.parts_of(rel), scan);
+            assert_eq!(h.has_relation(rel), !scan.is_empty());
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn rewrite_for_holdings(q: &Query, holdings: &NodeHoldings) -> Option<Query>
         .relations
         .iter()
         .filter_map(|(&rel, wanted)| {
-            let have = PartSet::from_part_ids(rel, holdings.parts_of(rel));
+            let have = PartSet::from_part_ids(rel, holdings.held_parts(rel));
             let local = wanted.intersect(&have);
             (!local.is_empty()).then_some((rel, local))
         })
@@ -45,7 +45,7 @@ pub fn rewrite_for_holdings(q: &Query, holdings: &NodeHoldings) -> Option<Query>
 /// requested partition of every relation in `q`?
 pub fn can_answer_exactly(q: &Query, holdings: &NodeHoldings) -> bool {
     q.relations.iter().all(|(&rel, wanted)| {
-        let have = PartSet::from_part_ids(rel, holdings.parts_of(rel));
+        let have = PartSet::from_part_ids(rel, holdings.held_parts(rel));
         wanted.is_subset(&have)
     })
 }
