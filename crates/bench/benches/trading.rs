@@ -1,11 +1,13 @@
-//! Criterion micro-benches: full QT rounds, protocol negotiation, and the
-//! life of an offer between the seller's cache and the buyer's plan.
+//! Criterion micro-benches: full QT rounds, protocol negotiation, a cold
+//! seller's round-1 reply, and the life of an offer between the seller's
+//! cache and the buyer's plan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qt_bench::runners::seller_engines;
 use qt_catalog::NodeId;
+use qt_core::buyer::RoundOutcome;
 use qt_core::plangen::PlanGenerator;
-use qt_core::{run_qt_direct, session_req, Offer, QtConfig, RfbItem, SessionRfb};
+use qt_core::{run_qt_direct, session_req, BuyerEngine, Offer, QtConfig, RfbItem, SessionRfb};
 use qt_cost::NodeResources;
 use qt_trade::{Bid, ProtocolKind, SessionId};
 use qt_workload::{build_federation, gen_join_query, FederationSpec, QueryShape};
@@ -65,6 +67,9 @@ fn bench_protocols(c: &mut Criterion) {
 /// offer cache, reply memo, broker tier, buyer pool — takes one), a warm
 /// seller's whole reply (16 sellers answering one session's RFB from their
 /// offer caches), and one plan generation over the pool those replies form.
+/// Before them, what making the offers costs: a cold seller answering the
+/// buyer's round-1 RFB, whose sub-queries it rewrites to a few local
+/// queries.
 fn bench_offer_path(c: &mut Criterion) {
     let fed = build_federation(&FederationSpec {
         nodes: 16,
@@ -92,6 +97,26 @@ fn bench_offer_path(c: &mut Criterion) {
         .values_mut()
         .flat_map(|s| s.respond(0, &items).offers)
         .collect();
+    // The buyer's round-1 RFB, answered by the seller with the most to say;
+    // its offer cache is cleared before every reply, so every item misses.
+    let mut buyer = BuyerEngine::new(NodeId(0), fed.catalog.dict.clone(), q.clone(), cfg.clone());
+    buyer.receive_offers(pool.clone());
+    let RoundOutcome::Continue(round1) = buyer.close_round() else {
+        panic!("the buyer asks sub-queries in round 1");
+    };
+    let mut cold = seller_engines(&fed, &cfg)
+        .into_values()
+        .map(|mut s| (s.respond(1, &round1).offers.len(), s))
+        .max_by_key(|(offers, _)| *offers)
+        .expect("sixteen sellers")
+        .1;
+    c.bench_function("seller/respond_round1_cold", |b| {
+        b.iter(|| {
+            cold.invalidate_offer_cache();
+            std::hint::black_box(cold.respond(1, &round1).offers.len())
+        });
+    });
+
     let widest = pool
         .iter()
         .max_by_key(|o| o.query.num_relations())
