@@ -33,7 +33,11 @@ pub struct QtOutcome {
     pub bytes: f64,
     /// Optimization time in simulated seconds.
     pub optimization_time: f64,
-    /// Total seller optimization effort (sub-plans enumerated).
+    /// Total seller optimization effort: the sub-plans the model enumerates
+    /// for each RFB item, summed over items and sellers. A seller runs its
+    /// DP once per distinct local rewrite of an RFB and replays that effort
+    /// into every item sharing it; [`SellerEngine::local_evaluations`]
+    /// counts the runs actually made.
     pub seller_effort: u64,
     /// Total buyer plan-generation effort.
     pub buyer_considered: u64,
