@@ -4,7 +4,7 @@
 //! operator timings, but the fit used to die with the process — every
 //! serving run re-traded on the reference constants until enough traffic
 //! re-calibrated them. This module snapshots fitted params through the
-//! hand-rolled [`Wire`](qt_trade::wire::Wire) codec (no serde, same framing
+//! hand-rolled [`Wire`] codec (no serde, same framing
 //! as the transport) so a later `run_qt_serve` starts with calibrated costs:
 //! set [`crate::ServeConfig::calibration_path`] and the serving runners call
 //! [`load_cost_params`] before building a single offer.

@@ -646,7 +646,7 @@ impl SellerEngine {
 
     /// Drop the offer-id counter, reply memos and leases of a finished
     /// session. Reached at the sellers a session awarded (or released); the
-    /// others age the session out of [`SELLER_SESSION_MEMORY`].
+    /// others age the session out of `SELLER_SESSION_MEMORY`.
     pub fn forget_session(&mut self, session: SessionId) {
         self.sessions.remove(&session);
         self.contracts.retain(|&c| (c >> 32) != session.0 + 1);

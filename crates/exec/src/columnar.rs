@@ -16,7 +16,7 @@
 //!   into typed columns;
 //! * grace-hash spilling: join build sides and aggregate state whose input
 //!   exceeds [`ColumnarConfig::mem_budget_bytes`] partition to disk via the
-//!   hand-rolled framing in [`crate::spill`] and are processed one
+//!   hand-rolled framing in the private `spill` module and are processed one
 //!   partition at a time.
 //!
 //! # Where columns live

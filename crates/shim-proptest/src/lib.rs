@@ -243,7 +243,7 @@ pub mod prop {
             }
         }
 
-        /// Bounds accepted by [`vec`].
+        /// Bounds accepted by [`vec()`].
         pub trait SizeRange {
             /// Normalize to `[lo, hi)` half-open bounds.
             fn bounds(&self) -> (usize, usize);

@@ -99,7 +99,7 @@ fn key_domain(spec: &FederationSpec) -> u64 {
 }
 
 /// A seeded, streaming row generator for one relation of a federation.
-/// Yields exactly [`relation_rows`] rows, one at a time — scaled datasets
+/// Yields exactly `relation_rows` rows, one at a time — scaled datasets
 /// are consumed partition-by-partition and never fully materialized. Each
 /// relation gets its own seed derived from `(spec.seed, rel_index)`, so
 /// streams are independently reproducible.
