@@ -24,9 +24,10 @@
 
 use qt_catalog::{Catalog, NodeId};
 use qt_core::buyer::IterationStats;
+use qt_core::config::{PER_OFFER_SECONDS, PER_SUBPLAN_SECONDS, QUERY_MSG_BYTES};
 use qt_core::plangen::PlanGenerator;
 use qt_core::{Offer, QtConfig, QtOutcome, SellerEngine};
-use qt_cost::NodeResources;
+use qt_cost::{NetLink, NodeResources};
 use qt_optimizer::JoinEnumerator;
 use qt_query::Query;
 use qt_trade::SellerStrategy;
@@ -132,9 +133,9 @@ pub fn run_baseline(
     // Collection is serialized at the central site: every node is polled
     // (autonomy means even apparently-empty nodes must answer) and the
     // responses arrive over one inbound link.
-    let collect_time = config.link.latency
-        + collected_bytes / config.link.bandwidth
-        + (catalog.nodes.len().saturating_sub(1)) as f64 * config.per_offer_seconds;
+    let collect_time = NetLink::wan().latency
+        + collected_bytes / NetLink::wan().bandwidth
+        + (catalog.nodes.len().saturating_sub(1)) as f64 * PER_OFFER_SECONDS;
 
     // What the central site really pays for: one global join-order
     // enumeration over the full catalog. A classical R*-style optimizer
@@ -163,7 +164,7 @@ pub fn run_baseline(
         for p in &plan.purchases {
             if p.offer.seller != buyer_node {
                 messages += 1;
-                collected_bytes += config.query_msg_bytes;
+                collected_bytes += QUERY_MSG_BYTES;
             }
         }
     }
@@ -171,8 +172,8 @@ pub fn run_baseline(
     // Serial central work: collection + global enumeration + plan
     // generation (all at one site, nothing parallel).
     let time = collect_time
-        + global_effort as f64 * config.per_subplan_seconds
-        + gen.considered as f64 * config.per_offer_seconds;
+        + global_effort as f64 * PER_SUBPLAN_SECONDS
+        + gen.considered as f64 * PER_OFFER_SECONDS;
     let _ = effort;
 
     let best_cost = gen

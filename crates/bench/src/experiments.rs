@@ -13,10 +13,12 @@
 use crate::runners::{run_algo, seller_engines, Algo};
 use crate::table::{f, Table};
 use qt_catalog::NodeId;
+use qt_core::config::MAX_LEASE_MISSES;
 use qt_core::{
     run_qt_direct, run_qt_serve_real_with_faults, run_qt_serve_with_faults, run_qt_sim_with_faults,
     QtConfig, QtOutcome, ServeConfig, ServeOutcome,
 };
+use qt_cost::NetLink;
 use qt_net::{FaultPlan, RealConfig, RealTransport, Topology};
 use qt_query::Query;
 use qt_trade::{ProtocolKind, SellerStrategy};
@@ -675,10 +677,10 @@ pub fn e14() -> Table {
     let q = gen_join_query_with_cut(&fed.catalog.dict, QueryShape::Chain, 3, false, 30);
     let cfg = QtConfig::default();
     let two_tier = |region_size: u32| {
-        Topology::two_tier(region_size, qt_cost::NetLink::lan(), cfg.link).expect("region size")
+        Topology::two_tier(region_size, NetLink::lan(), NetLink::wan()).expect("region size")
     };
     let topologies: Vec<(&str, Topology)> = vec![
-        ("uniform WAN", Topology::Uniform(cfg.link)),
+        ("uniform WAN", Topology::Uniform(NetLink::wan())),
         // With 4-node regions most sellers stay behind WAN uplinks: the
         // trading critical path (slowest responder) is unchanged.
         ("two-tier, 4-node regions", two_tier(4)),
@@ -950,7 +952,13 @@ pub fn e18() -> Table {
             seller_timeout: 2.0,
             ..QtConfig::default()
         };
-        let (out, metrics) = trade_on_sim(&fed, &q, &cfg, Topology::Uniform(cfg.link), Some(plan));
+        let (out, metrics) = trade_on_sim(
+            &fed,
+            &q,
+            &cfg,
+            Topology::Uniform(NetLink::wan()),
+            Some(plan),
+        );
         t.gate(out.plan.is_some(), || {
             format!("{label}: replication 3 must cover every fault mix")
         });
@@ -1082,7 +1090,8 @@ pub fn e20() -> Table {
         let clean: Vec<_> = (0..QUERIES)
             .map(|i| {
                 let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, i % 2 == 0, i);
-                let (out, _) = trade_on_sim(&fed, &q, &cfg, Topology::Uniform(cfg.link), None);
+                let (out, _) =
+                    trade_on_sim(&fed, &q, &cfg, Topology::Uniform(NetLink::wan()), None);
                 let plan = out.plan.as_ref().expect("fault-free plan");
                 let winner = plan
                     .purchases
@@ -1109,7 +1118,8 @@ pub fn e20() -> Table {
                         };
                         FaultPlan::default().with_crash(w, t0, 1e12)
                     });
-                    let (out, m) = trade_on_sim(&fed, q, &cfg, Topology::Uniform(cfg.link), faults);
+                    let (out, m) =
+                        trade_on_sim(&fed, q, &cfg, Topology::Uniform(NetLink::wan()), faults);
                     if let Some(plan) = &out.plan {
                         completed += 1;
                         inflation += plan.est.additive_cost / clean_cost;
@@ -1831,13 +1841,12 @@ pub fn e24() -> Table {
 /// E25 shares E24's federation/arrivals but turns regional failover on:
 /// a short lease so standby promotion lands well inside the buyer's RFB
 /// deadline (`seller_timeout * depth`) and the promotion window (bounded
-/// by `(max_lease_misses + 2) * lease_interval = 4s`) stalls only the
+/// by `(MAX_LEASE_MISSES + 2) * lease_interval = 4s`) stalls only the
 /// handful of sessions arriving inside it.
 fn e25_cfg() -> QtConfig {
     QtConfig {
         seller_timeout: 300.0,
         lease_interval: 1.0,
-        max_lease_misses: 2,
         ..QtConfig::default()
     }
 }
@@ -1897,7 +1906,7 @@ fn promo_latency(out: &ServeOutcome, faults: &FaultPlan) -> f64 {
 /// Gated per crash arm: completion ≥ 99%, one promotion per crashed
 /// broker, onto a distinct standby; on the sim additionally no seller-
 /// fallback detour (promotion preempts the flat retreat) and promotion
-/// within the lease deadline `(max_lease_misses + 2) × lease_interval`;
+/// within the lease deadline `(MAX_LEASE_MISSES + 2) × lease_interval`;
 /// the threads arm promotes the sim's `(failed, standby)` set when both
 /// ran. Crash p99 ≤ 2× crash-free is evaluated only when the two promotion
 /// windows (≈ deadline / 0.2 s interarrival sessions each) cover ≤ 1% of
@@ -1915,7 +1924,7 @@ pub fn e25() -> Table {
         hierarchy: Some(e25_hier()),
         ..ServeConfig::default()
     };
-    let lease_deadline = (cfg.max_lease_misses + 2) as f64 * cfg.lease_interval;
+    let lease_deadline = (MAX_LEASE_MISSES + 2) as f64 * cfg.lease_interval;
     let p99_gated = 2.0 * lease_deadline / 0.2 / n_queries as f64 <= 0.01;
     let p99_note = if p99_gated { "" } else { "not " };
     let mut t = Table::new(

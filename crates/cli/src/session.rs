@@ -4,6 +4,7 @@
 use crate::{Args, Demo};
 use qt_catalog::{Catalog, NodeId};
 use qt_core::{run_qt_direct, run_qt_sim_with_faults, QtConfig, SellerEngine};
+use qt_cost::NetLink;
 use qt_exec::DataStore;
 use qt_net::{FaultPlan, Topology};
 use qt_query::{parse_query, Query};
@@ -468,7 +469,7 @@ impl Session {
                 &query,
                 sellers(&cfg),
                 &cfg,
-                Topology::Uniform(cfg.link),
+                Topology::Uniform(NetLink::wan()),
                 faults,
             )
         };
@@ -918,7 +919,7 @@ impl Session {
                 &query,
                 sellers,
                 &self.config,
-                Topology::Uniform(self.config.link),
+                Topology::Uniform(NetLink::wan()),
                 Some(FaultPlan::lossy(self.fault_seed, self.fault_loss)),
             );
             (out, Some(metrics))

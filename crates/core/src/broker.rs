@@ -4,7 +4,9 @@
 //! protocol. Brokers speak [`ServeMsg`] and are assembled by the serving
 //! runners in [`session`](crate::session).
 
-use crate::config::QtConfig;
+use crate::config::{
+    retry_delay, QtConfig, MAX_LEASE_MISSES, MAX_RFB_RETRIES, OFFER_MSG_BYTES, QUERY_MSG_BYTES,
+};
 use crate::offer::Offer;
 use crate::seller::SessionRfb;
 use crate::session::{HierarchyConfig, ServeMsg, AD_BYTES};
@@ -183,7 +185,7 @@ impl BrokerNode {
             self.misses += 1;
         }
         self.ack_seen = false;
-        if self.misses > self.config.max_lease_misses {
+        if self.misses > MAX_LEASE_MISSES {
             self.promote(ctx, primary);
             return;
         }
@@ -277,8 +279,7 @@ impl BrokerNode {
         }
         for (entry, to) in resend {
             self.retries += 1;
-            let bytes =
-                (entry.items.len() + entry.hints.len()) as f64 * self.config.query_msg_bytes;
+            let bytes = (entry.items.len() + entry.hints.len()) as f64 * QUERY_MSG_BYTES;
             ctx.send(
                 to,
                 ServeMsg::Rfb {
@@ -367,7 +368,7 @@ impl BrokerNode {
             if let Some((offers, missing)) = self.done.get(&key) {
                 // Parent retransmission of an answered round: replay the
                 // exact reply (the parent dedups).
-                let bytes = offers.len() as f64 * self.config.offer_msg_bytes;
+                let bytes = offers.len() as f64 * OFFER_MSG_BYTES;
                 ctx.send(
                     from,
                     ServeMsg::AggOffers {
@@ -479,7 +480,7 @@ impl BrokerNode {
                 .iter()
                 .map(|e| (e.items.len() + e.hints.len()) as f64)
                 .sum::<f64>()
-                * self.config.query_msg_bytes;
+                * QUERY_MSG_BYTES;
             ctx.send(child, ServeMsg::Rfb { entries: ents }, bytes, "rfb");
         }
     }
@@ -570,12 +571,11 @@ impl BrokerNode {
             .copied()
             .filter(|c| !r.pending.contains_key(c))
             .collect();
-        if r.attempt < self.config.max_rfb_retries {
+        if r.attempt < MAX_RFB_RETRIES {
             r.attempt += 1;
             let attempt = r.attempt;
             let entry = r.entry.clone();
-            let bytes =
-                (entry.items.len() + entry.hints.len()) as f64 * self.config.query_msg_bytes;
+            let bytes = (entry.items.len() + entry.hints.len()) as f64 * QUERY_MSG_BYTES;
             for &c in &lag {
                 self.retries += 1;
                 ctx.send(
@@ -587,8 +587,7 @@ impl BrokerNode {
                     "rfb-retry",
                 );
             }
-            let base = self.deadline();
-            let delay = (base * self.config.rfb_retry_backoff.powi(attempt as i32)).min(8.0 * base);
+            let delay = retry_delay(self.deadline(), attempt);
             ctx.schedule(
                 delay,
                 ServeMsg::BrokerTimeout { session, round },
@@ -615,10 +614,9 @@ impl BrokerNode {
         }
     }
 
-    /// Close a gathering round: concatenate the children's offers in
-    /// ascending child order, prune to `broker_top_k`, and re-sort by
-    /// `(seller, offer id)` — with contiguous seller ranges per child this
-    /// is exactly the order a flat buyer drains its reply map in, so `k = 0`
+    /// Close a gathering round: concatenate the children's offers and sort
+    /// them by `(seller, offer id)` — with contiguous seller ranges per child
+    /// this is exactly the order a flat buyer drains its reply map in, so
     /// aggregation reproduces flat plans bit-for-bit.
     fn finish_round(&mut self, ctx: &mut Ctx<ServeMsg>, key: (SessionId, u32)) {
         let r = self.open.remove(&key).expect("closing an open round");
@@ -628,11 +626,18 @@ impl BrokerNode {
             offers.extend(o);
             missing.extend(m);
         }
-        let mut offers = crate::discovery::prune_offers(offers, self.hier.broker_top_k);
         offers.sort_by_key(|o| (o.seller.0, o.id));
+        // Distinct keys make the sort's result independent of the order the
+        // children's offers were concatenated in.
+        debug_assert!(
+            offers
+                .windows(2)
+                .all(|w| (w[0].seller, w[0].id) != (w[1].seller, w[1].id)),
+            "a broker aggregated two offers with the same (seller, offer id)"
+        );
         missing.sort_unstable();
         missing.dedup();
-        let bytes = offers.len() as f64 * self.config.offer_msg_bytes;
+        let bytes = offers.len() as f64 * OFFER_MSG_BYTES;
         self.remember_done(key, offers.clone(), missing.clone());
         ctx.send(
             r.from_parent,

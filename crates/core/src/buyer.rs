@@ -1,7 +1,7 @@
 //! The buyer engine: one node optimizing one query by trading.
 
 use crate::analyser::next_queries;
-use crate::config::QtConfig;
+use crate::config::{QtConfig, MAX_NEW_QUERIES_PER_ROUND};
 use crate::dist_plan::{estimate_from, DistributedPlan};
 use crate::offer::{Offer, RfbItem};
 use crate::plangen::PlanGenerator;
@@ -216,7 +216,7 @@ impl BuyerEngine {
             return RoundOutcome::Done;
         }
         let mut new = next_queries(&self.dict, &self.query, &gen, &self.offers, &self.asked);
-        new.truncate(self.config.max_new_queries_per_round);
+        new.truncate(MAX_NEW_QUERIES_PER_ROUND);
         // B7: stop when the working set stopped growing AND the plan stopped
         // improving (the paper's double condition).
         if new.is_empty() || (!improved && self.round > 0) {

@@ -1,6 +1,7 @@
-//! Configuration of a QT optimization run.
+//! Configuration of a QT optimization run, and the protocol and charging
+//! constants every run shares.
 
-use qt_cost::{CostParams, NetLink, Valuation};
+use qt_cost::{CostParams, Valuation};
 use qt_optimizer::JoinEnumerator;
 use qt_trade::{ProtocolKind, SellerStrategy};
 
@@ -34,37 +35,12 @@ pub struct QtConfig {
     /// deferred extension; evaluated in E10). Off by default, as in the
     /// paper.
     pub enable_subcontracting: bool,
-    /// Cap on new queries the buyer predicates analyser may add to the
-    /// working set per iteration (keeps RFBs bounded on fragmented data).
-    pub max_new_queries_per_round: usize,
     /// RFB response deadline of a networked run: the buyer closes a round
     /// after this many seconds even if some sellers never answered
     /// (autonomous nodes are free to ignore RFBs).
     pub seller_timeout: f64,
-    /// RFB retransmissions of a networked run: when the response deadline
-    /// fires with sellers still unheard-from, the buyer re-sends the RFB to
-    /// just those sellers up to this many times before degrading the round
-    /// to the offers that arrived. Sellers dedup retransmissions by request
-    /// id, so retries are idempotent.
-    pub max_rfb_retries: u32,
-    /// Backoff multiplier between RFB retransmissions: retry `n` waits
-    /// `seller_timeout * rfb_retry_backoff^n`, capped at 8× the base
-    /// timeout.
-    pub rfb_retry_backoff: f64,
-    /// Simulated seconds charged per sub-plan an optimizer enumerates
-    /// (drives the optimization-time figures deterministically).
-    pub per_subplan_seconds: f64,
-    /// Simulated seconds the buyer spends per offer considered during plan
-    /// generation.
-    pub per_offer_seconds: f64,
-    /// Link model between any two distinct nodes.
-    pub link: NetLink,
     /// Shared operator cost constants.
     pub cost_params: CostParams,
-    /// Approximate bytes of one serialized query in protocol messages.
-    pub query_msg_bytes: f64,
-    /// Approximate bytes of one serialized offer in protocol messages.
-    pub offer_msg_bytes: f64,
     /// Run the full contract lifecycle after trading converges: two-phase
     /// awards (ack/decline with retransmission), execution leases renewed by
     /// heartbeat, and deterministic failover to runner-up offers or scoped
@@ -72,28 +48,11 @@ pub struct QtConfig {
     /// stay the pre-lifecycle one-way notices and every run is bit-identical
     /// to earlier releases.
     pub enable_contracts: bool,
-    /// Seconds the buyer waits for an `AwardAck` before retransmitting the
-    /// award (capped exponential backoff, like RFB retries).
-    pub award_timeout: f64,
-    /// Award retransmissions before the winner is declared lost and the
-    /// contract fails over.
-    pub max_award_retries: u32,
     /// Seconds between lease heartbeats the buyer sends to an awarded
     /// seller. Heartbeats are zero-byte control traffic (counted in
     /// `lease_events`, not `messages`) but ride the faultable network, so a
     /// crashed or partitioned winner stops renewing.
     pub lease_interval: f64,
-    /// Consecutive missed lease renewals before the lease expires and the
-    /// contract fails over.
-    pub max_lease_misses: u32,
-    /// Successful lease renewals after which the contract is considered
-    /// firmly held and completes (bounds the lifecycle phase in virtual
-    /// time).
-    pub lease_probes: u32,
-    /// Scoped re-trade rounds (mini QT rounds restricted to the lost
-    /// subqueries) the buyer may run per optimization when the bid book has
-    /// no runner-up left, before abandoning the slot.
-    pub max_retrade_rounds: u32,
     /// Fan seller offer generation out across OS threads: the direct driver
     /// evaluates sellers concurrently and each seller evaluates its RFB items
     /// concurrently. Deterministic — results merge in input order, so plans,
@@ -126,29 +85,73 @@ impl Default for QtConfig {
             enable_partial_agg: true,
             enable_views: true,
             enable_subcontracting: false,
-            max_new_queries_per_round: 16,
             seller_timeout: 30.0,
-            max_rfb_retries: 2,
-            rfb_retry_backoff: 2.0,
-            per_subplan_seconds: 2e-5,
-            per_offer_seconds: 1e-5,
-            link: NetLink::wan(),
             cost_params: CostParams::reference(),
-            query_msg_bytes: 256.0,
-            offer_msg_bytes: 128.0,
             enable_contracts: false,
-            award_timeout: 10.0,
-            max_award_retries: 2,
             lease_interval: 15.0,
-            max_lease_misses: 2,
-            lease_probes: 2,
-            max_retrade_rounds: 2,
             parallel: true,
             enable_semantic_cache: false,
             offer_cache_entries: 0,
         }
     }
 }
+
+/// Cap on new queries the buyer predicates analyser may add to the working
+/// set per iteration (keeps RFBs bounded on fragmented data).
+pub(crate) const MAX_NEW_QUERIES_PER_ROUND: usize = 16;
+
+/// RFB retransmissions of a networked run: when the response deadline fires
+/// with sellers still unheard-from, the buyer re-sends the RFB to just those
+/// sellers up to this many times before degrading the round to the offers
+/// that arrived. Sellers dedup retransmissions by request id, so retries are
+/// idempotent.
+pub(crate) const MAX_RFB_RETRIES: u32 = 2;
+
+/// Backoff multiplier between retransmissions (see [`retry_delay`]).
+const RFB_RETRY_BACKOFF: f64 = 2.0;
+
+/// Delay of retransmission `n` after a `base` deadline:
+/// `base * RFB_RETRY_BACKOFF^n`, capped at 8× the base. Every retry of the
+/// protocol (RFBs at the buyer and at brokers, awards, the post-shed
+/// re-admission) waits by this rule.
+pub(crate) fn retry_delay(base: f64, n: u32) -> f64 {
+    (base * RFB_RETRY_BACKOFF.powi(n as i32)).min(8.0 * base)
+}
+
+/// Simulated seconds charged per sub-plan an optimizer enumerates (drives
+/// the optimization-time figures deterministically).
+pub const PER_SUBPLAN_SECONDS: f64 = 2e-5;
+
+/// Simulated seconds the buyer spends per offer considered during plan
+/// generation.
+pub const PER_OFFER_SECONDS: f64 = 1e-5;
+
+/// Approximate bytes of one serialized query in protocol messages.
+pub const QUERY_MSG_BYTES: f64 = 256.0;
+
+/// Approximate bytes of one serialized offer in protocol messages.
+pub(crate) const OFFER_MSG_BYTES: f64 = 128.0;
+
+/// Seconds the buyer waits for an `AwardAck` before retransmitting the award
+/// (capped exponential backoff, like RFB retries).
+pub(crate) const AWARD_TIMEOUT: f64 = 10.0;
+
+/// Award retransmissions before the winner is declared lost and the contract
+/// fails over.
+pub(crate) const MAX_AWARD_RETRIES: u32 = 2;
+
+/// Consecutive missed lease renewals before the lease expires and the
+/// contract (or a standby broker's primary) fails over.
+pub const MAX_LEASE_MISSES: u32 = 2;
+
+/// Successful lease renewals after which the contract is considered firmly
+/// held and completes (bounds the lifecycle phase in virtual time).
+pub(crate) const LEASE_PROBES: u32 = 2;
+
+/// Scoped re-trade rounds (mini QT rounds restricted to the lost subqueries)
+/// the buyer may run per optimization when the bid book has no runner-up
+/// left, before abandoning the slot.
+pub(crate) const MAX_RETRADE_ROUNDS: u32 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -161,16 +164,29 @@ mod tests {
         assert!(c.max_partial_k >= 1);
         assert!(c.enable_buyer_analyser);
         assert_eq!(c.protocol, ProtocolKind::SealedBid);
+        const {
+            assert!(MAX_NEW_QUERIES_PER_ROUND >= 1);
+            assert!(PER_SUBPLAN_SECONDS > 0.0 && PER_OFFER_SECONDS > 0.0);
+            assert!(QUERY_MSG_BYTES > 0.0 && OFFER_MSG_BYTES > 0.0);
+        }
     }
 
     #[test]
     fn contracts_default_off_with_bounded_lifecycle() {
         let c = QtConfig::default();
         assert!(!c.enable_contracts, "lifecycle must be opt-in");
-        assert!(c.award_timeout > 0.0);
         assert!(c.lease_interval > 0.0);
-        assert!(c.lease_probes >= 1, "the lease phase must terminate");
-        assert!(c.max_retrade_rounds >= 1);
+        const {
+            assert!(AWARD_TIMEOUT > 0.0);
+            assert!(LEASE_PROBES >= 1, "the lease phase must terminate");
+            assert!(MAX_RETRADE_ROUNDS >= 1);
+        }
+    }
+
+    #[test]
+    fn retry_delay_doubles_up_to_eight_times_the_base() {
+        let schedule: Vec<f64> = (1..=4).map(|n| retry_delay(3.0, n)).collect();
+        assert_eq!(schedule, [6.0, 12.0, 24.0, 24.0]);
     }
 
     #[test]

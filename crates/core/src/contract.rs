@@ -20,7 +20,10 @@
 //! distributed plan. Both repairs recompute the plan estimate, so cost
 //! figures stay honest.
 
-use crate::config::QtConfig;
+use crate::config::{
+    retry_delay, QtConfig, AWARD_TIMEOUT, LEASE_PROBES, MAX_AWARD_RETRIES, MAX_LEASE_MISSES,
+    MAX_RETRADE_ROUNDS,
+};
 use crate::dist_plan::{estimate_from, DistributedPlan};
 use crate::offer::{Offer, OfferKind, RfbItem};
 use qt_catalog::NodeId;
@@ -325,7 +328,7 @@ impl ContractController {
             });
             actions.push(ContractAction::ArmAwardTimer {
                 contract: id,
-                delay: self.cfg.award_timeout,
+                delay: AWARD_TIMEOUT,
             });
         }
         self.contracts.insert(id, c);
@@ -381,13 +384,11 @@ impl ContractController {
         if c.state != ContractState::Awarded {
             return actions; // stale timer: the contract already moved on
         }
-        if c.attempts < self.cfg.max_award_retries {
+        if c.attempts < MAX_AWARD_RETRIES {
             c.attempts += 1;
             self.stats.award_retries += 1;
             self.stats.awards_sent += 1;
-            let delay = (self.cfg.award_timeout
-                * self.cfg.rfb_retry_backoff.powi(c.attempts as i32))
-            .min(8.0 * self.cfg.award_timeout);
+            let delay = retry_delay(AWARD_TIMEOUT, c.attempts);
             actions.push(ContractAction::SendAward {
                 seller: c.seller,
                 contract,
@@ -426,7 +427,7 @@ impl ContractController {
             c.renewed = false;
             c.misses = 0;
             c.probes += 1;
-            if c.probes >= self.cfg.lease_probes {
+            if c.probes >= LEASE_PROBES {
                 // The winner held its lease through probation: the contract
                 // stands and the seller is released from heartbeating.
                 transition(c, ContractState::Completed);
@@ -444,7 +445,7 @@ impl ContractController {
             }
         } else {
             c.misses += 1;
-            if c.misses >= self.cfg.max_lease_misses {
+            if c.misses >= MAX_LEASE_MISSES {
                 self.stats.lease_expiries += 1;
                 self.fail_contract(contract, &mut actions);
                 self.check_settled();
@@ -566,7 +567,7 @@ impl ContractController {
         if self.retrade_pending.is_empty() {
             return;
         }
-        if self.retrade_rounds_used >= self.cfg.max_retrade_rounds {
+        if self.retrade_rounds_used >= MAX_RETRADE_ROUNDS {
             let pending: Vec<usize> = self.retrade_pending.iter().copied().collect();
             for slot in pending {
                 self.abandon(slot);
@@ -798,10 +799,10 @@ mod tests {
         assert!(matches!(acts[0], ContractAction::SendLease { .. }));
         // Duplicate acks (retransmitted award) are harmless.
         assert!(ctl.on_award_ack(0).is_empty());
-        for probe in 0..QtConfig::default().lease_probes {
+        for probe in 0..LEASE_PROBES {
             ctl.on_lease_ack(0);
             let acts = ctl.on_lease_tick(0);
-            if probe + 1 == QtConfig::default().lease_probes {
+            if probe + 1 == LEASE_PROBES {
                 assert!(matches!(acts[0], ContractAction::SendRelease { .. }));
             } else {
                 assert!(matches!(acts[0], ContractAction::SendLease { .. }));
@@ -833,7 +834,7 @@ mod tests {
                 panic!("expected a retransmission or a re-award");
             }
         }
-        assert_eq!(retries, QtConfig::default().max_award_retries);
+        assert_eq!(retries, MAX_AWARD_RETRIES);
         assert_eq!(ctl.stats.lost_awards, 1);
         assert_eq!(ctl.stats.reawards, 1);
         assert!(ctl.lost.contains(&NodeId(1)));
@@ -841,7 +842,7 @@ mod tests {
         // The replacement completes → the slot counts as repaired.
         let c = ctl.reports().last().unwrap().id;
         ctl.on_award_ack(c);
-        for _ in 0..QtConfig::default().lease_probes {
+        for _ in 0..LEASE_PROBES {
             ctl.on_lease_ack(c);
             ctl.on_lease_tick(c);
         }
@@ -857,7 +858,7 @@ mod tests {
         ctl.on_award_ack(0);
         // The seller stops renewing: misses accumulate to expiry.
         let mut reawarded = false;
-        for _ in 0..QtConfig::default().max_lease_misses {
+        for _ in 0..MAX_LEASE_MISSES {
             let acts = ctl.on_lease_tick(0);
             if acts.iter().any(
                 |a| matches!(a, ContractAction::SendAward { seller, .. } if *seller == NodeId(2)),
@@ -890,7 +891,7 @@ mod tests {
         let offers = [offer(1, 1, &q, 1.0)];
         let (mut ctl, _) = controller(&offers, &[1, 2]);
         let mut acts = Vec::new();
-        for _ in 0..=QtConfig::default().max_award_retries {
+        for _ in 0..=MAX_AWARD_RETRIES {
             acts = ctl.on_award_timeout(0);
         }
         let Some(ContractAction::SendRetrade {
@@ -925,11 +926,11 @@ mod tests {
         let offers = [offer(1, 1, &q, 1.0)];
         let (mut ctl, _) = controller(&offers, &[1, 2]);
         let mut acts = Vec::new();
-        for _ in 0..=QtConfig::default().max_award_retries {
+        for _ in 0..=MAX_AWARD_RETRIES {
             acts = ctl.on_award_timeout(0);
         }
         // Every re-trade round times out empty until the budget runs dry.
-        for _ in 0..QtConfig::default().max_retrade_rounds {
+        for _ in 0..MAX_RETRADE_ROUNDS {
             let Some(ContractAction::ArmRetradeTimer { round, .. }) = acts
                 .iter()
                 .find(|a| matches!(a, ContractAction::ArmRetradeTimer { .. }))
@@ -941,10 +942,7 @@ mod tests {
         assert!(ctl.settled);
         assert!(!ctl.plan_valid());
         assert_eq!(ctl.stats.failed_repairs, 1);
-        assert_eq!(
-            ctl.stats.rescoped_trades,
-            QtConfig::default().max_retrade_rounds as u64
-        );
+        assert_eq!(ctl.stats.rescoped_trades, MAX_RETRADE_ROUNDS as u64);
     }
 
     #[test]
@@ -997,7 +995,7 @@ mod tests {
         );
         // Contract 0's award never acks; contract 1 is still Awarded when
         // the seller is declared lost — both must fail over to seller 2.
-        for _ in 0..=QtConfig::default().max_award_retries {
+        for _ in 0..=MAX_AWARD_RETRIES {
             ctl.on_award_timeout(0);
         }
         assert!(ctl.lost.contains(&NodeId(1)));

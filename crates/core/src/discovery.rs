@@ -16,13 +16,12 @@
 //!   to the brokers whose digest intersects the round's items; each broker
 //!   scopes the forward to the matching children, collects the replies, and
 //!   sends one aggregated answer upward — the buyer sees O(regions)
-//!   messages, not O(sellers).
-//! * **Top-k Pareto pruning** — brokers can additionally keep only the `k`
+//!   messages, not O(sellers). Aggregation keeps every offer, so scoped
+//!   runs are bit-identical to flat broadcast whenever digests are exact —
+//!   the property `crates/core/tests/discovery.rs` holds by proptest.
+//! * **Top-k Pareto pruning** — [`prune_offers`] keeps only the `k`
 //!   cheapest offers per (item, offer kind) in deterministic
-//!   `(cost bits, seller, offer id)` order ([`prune_offers`]). With `k = 0`
-//!   (the default) aggregation is lossless and scoped runs are bit-identical
-//!   to flat broadcast whenever digests are exact — the property
-//!   `crates/core/tests/discovery.rs` holds by proptest.
+//!   `(cost bits, seller, offer id)` order. No broker applies it.
 //!
 //! Advertisement is membership: a child a broker has never heard from has an
 //! empty digest and receives nothing, and a child that stops answering is
@@ -212,8 +211,7 @@ fn offer_key(o: &crate::offer::Offer) -> (u64, u32, u64) {
 /// `(cost bits, seller, offer id)` order, then at most `k` survive per
 /// `(offered query fingerprint, offer kind)` group — keeping per-kind
 /// diversity so a cheap `Rows` offer can't starve the only `FromView`
-/// alternative a slot has. `k = 0` keeps everything (lossless aggregation,
-/// the default; scoped == flat equality only holds losslessly).
+/// alternative a slot has. `k = 0` keeps everything.
 pub fn prune_offers(mut offers: Vec<crate::offer::Offer>, k: usize) -> Vec<crate::offer::Offer> {
     offers.sort_by_key(offer_key);
     if k == 0 {

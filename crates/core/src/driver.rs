@@ -8,13 +8,16 @@
 //! timing under node/link contention.
 
 use crate::buyer::{remote_awards, winner_set, BuyerEngine, IterationStats, RoundOutcome};
-use crate::config::QtConfig;
+use crate::config::{
+    QtConfig, OFFER_MSG_BYTES, PER_OFFER_SECONDS, PER_SUBPLAN_SECONDS, QUERY_MSG_BYTES,
+};
 use crate::contract::ContractReport;
 use crate::dist_plan::DistributedPlan;
 use crate::offer::Offer;
 use crate::seller::SellerEngine;
 use crate::session::{run_qt_serve_real, serve_on_sim, ServeConfig, ServeOutcome};
 use qt_catalog::{NodeId, SchemaDict};
+use qt_cost::NetLink;
 use qt_net::{FaultPlan, Topology};
 use qt_query::Query;
 use std::collections::BTreeMap;
@@ -129,7 +132,7 @@ pub fn run_qt_direct(
     let mut items = buyer.start();
     let mut hints: Vec<Offer> = Vec::new();
     loop {
-        let rfb_bytes = (items.len() + hints.len()) as f64 * config.query_msg_bytes;
+        let rfb_bytes = (items.len() + hints.len()) as f64 * QUERY_MSG_BYTES;
         let mut round_path = 0.0f64;
         // Fan the round out: sellers evaluate concurrently (each node is an
         // autonomous machine — this is exactly the real system's shape), then
@@ -149,14 +152,14 @@ pub fn run_qt_direct(
         });
         for ((node, _), resp) in engines.iter().zip(responses) {
             seller_effort += resp.effort;
-            let compute = resp.effort as f64 * config.per_subplan_seconds;
+            let compute = resp.effort as f64 * PER_SUBPLAN_SECONDS;
             if *node == buyer_node {
                 round_path = round_path.max(compute);
             } else {
-                let back = resp.offers.len() as f64 * config.offer_msg_bytes;
-                let path = config.link.transfer_time(rfb_bytes)
+                let back = resp.offers.len() as f64 * OFFER_MSG_BYTES;
+                let path = NetLink::wan().transfer_time(rfb_bytes)
                     + compute
-                    + config.link.transfer_time(back);
+                    + NetLink::wan().transfer_time(back);
                 round_path = round_path.max(path);
                 messages += 2; // RFB out + offers back (possibly empty)
                 bytes += rfb_bytes + back;
@@ -166,14 +169,14 @@ pub fn run_qt_direct(
         time += round_path;
         let outcome = buyer.close_round();
         let considered = buyer.history.last().map(|h| h.considered).unwrap_or(0);
-        time += considered as f64 * config.per_offer_seconds;
+        time += considered as f64 * PER_OFFER_SECONDS;
         let neg_msgs = buyer.negotiation_messages - prev_neg_msgs;
         let neg_rts = buyer.negotiation_round_trips - prev_neg_rts;
         prev_neg_msgs = buyer.negotiation_messages;
         prev_neg_rts = buyer.negotiation_round_trips;
         messages += neg_msgs;
-        bytes += neg_msgs as f64 * config.offer_msg_bytes;
-        time += neg_rts as f64 * 2.0 * config.link.latency;
+        bytes += neg_msgs as f64 * OFFER_MSG_BYTES;
+        time += neg_rts as f64 * 2.0 * NetLink::wan().latency;
         match outcome {
             RoundOutcome::Continue(next) => {
                 items = next;
@@ -195,10 +198,10 @@ pub fn run_qt_direct(
         if config.enable_contracts {
             contracts_awarded = plan.purchases.len() as u64;
             messages += 3 * awards.len() as u64;
-            bytes += 3.0 * awards.len() as f64 * config.offer_msg_bytes;
+            bytes += 3.0 * awards.len() as f64 * OFFER_MSG_BYTES;
         } else {
             messages += awards.len() as u64;
-            bytes += awards.len() as f64 * config.offer_msg_bytes;
+            bytes += awards.len() as f64 * OFFER_MSG_BYTES;
         }
         let winners = winner_set(plan);
         // Scope the cache invalidation to the traded query's relations:
@@ -233,8 +236,8 @@ pub fn run_qt_direct(
     }
 }
 
-/// Run QT on the discrete-event simulator with a uniform topology built
-/// from `config.link`. Returns the outcome and the simulator metrics
+/// Run QT on the discrete-event simulator over a uniform WAN topology
+/// ([`NetLink::wan`]). Returns the outcome and the simulator metrics
 /// (virtual end time, per-kind message counts).
 pub fn run_qt_sim(
     buyer_node: NodeId,
@@ -243,7 +246,7 @@ pub fn run_qt_sim(
     sellers: BTreeMap<NodeId, SellerEngine>,
     config: &QtConfig,
 ) -> (QtOutcome, qt_net::Metrics) {
-    let topology = Topology::Uniform(config.link);
+    let topology = Topology::Uniform(NetLink::wan());
     run_qt_sim_with_faults(buyer_node, dict, query, sellers, config, topology, None)
 }
 
@@ -251,10 +254,10 @@ pub fn run_qt_sim(
 /// (e.g. [`Topology::TwoTier`] regional offices) with an optional
 /// [`FaultPlan`] injecting message loss, duplication, jitter, partitions,
 /// and crash windows; `None` (or an inert plan) injects nothing. Sellers
-/// still *estimate* delivery with `config.link` — autonomous nodes do not
+/// still *estimate* delivery over a WAN link — autonomous nodes do not
 /// know where the buyer sits — while actual message transport follows the
 /// topology. Under faults the buyer retransmits unanswered RFBs with capped
-/// exponential backoff and, past `config.max_rfb_retries`, degrades the
+/// exponential backoff and, after two retransmissions, degrades the
 /// round to the offers that arrived; the returned metrics carry
 /// drop/retry/timeout/degraded counters.
 pub fn run_qt_sim_with_faults(

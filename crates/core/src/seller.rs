@@ -4,7 +4,7 @@
 use crate::config::QtConfig;
 use crate::offer::{Offer, OfferKind, RfbItem};
 use qt_catalog::{NodeHoldings, NodeId, RelId};
-use qt_cost::{AnswerProperties, CardinalityEstimator, NodeResources};
+use qt_cost::{AnswerProperties, CardinalityEstimator, NetLink, NodeResources};
 use qt_optimizer::LocalOptimizer;
 use qt_query::views::match_view;
 use qt_query::{rewrite_for_holdings, MaterializedView, Query};
@@ -98,11 +98,6 @@ pub struct SellerEngine {
     /// on: advertisements are mirrored there so a promoted standby already
     /// holds the region's membership and digests.
     pub advertise_cc: Option<NodeId>,
-    /// Seconds between periodic re-advertisements (`0` = advertise only when
-    /// the runner injects an `AdTick`). Sound for fault-free catalog drift;
-    /// under crash faults the simulator's local timers keep firing, so churn
-    /// runs leave this off and re-advertise via injected ticks instead.
-    pub readvertise_interval: f64,
     /// Contracts currently held (awarded and not yet released). Serve-path
     /// ids embed the session (`(session + 1) << 32 | n`), so
     /// [`forget_session`](Self::forget_session) can release one session's
@@ -186,7 +181,6 @@ impl SellerEngine {
             advertise_to: None,
             ad_epoch: 0,
             advertise_cc: None,
-            readvertise_interval: 0.0,
             contracts: std::collections::BTreeSet::new(),
             config,
             next_offer: 0,
@@ -263,9 +257,9 @@ impl SellerEngine {
     /// `local_cost` node-seconds to produce.
     fn delivery_props(&self, local_cost: f64, rows: f64, width: f64) -> AnswerProperties {
         let bytes = rows * width;
-        let transfer = self.config.link.transfer_time(bytes);
+        let transfer = NetLink::wan().transfer_time(bytes);
         let mut p = AnswerProperties::timed(local_cost + transfer, rows, bytes);
-        p.first_row_time = local_cost * 0.5 + self.config.link.first_byte_time();
+        p.first_row_time = local_cost * 0.5 + NetLink::wan().first_byte_time();
         p
     }
 

@@ -28,7 +28,10 @@
 pub use crate::broker::BrokerNode;
 use crate::buyer::{remote_awards, BuyerEngine, IterationStats, RoundOutcome};
 use crate::compensate::compensate_plan;
-use crate::config::QtConfig;
+use crate::config::{
+    retry_delay, QtConfig, MAX_RFB_RETRIES, OFFER_MSG_BYTES, PER_OFFER_SECONDS,
+    PER_SUBPLAN_SECONDS, QUERY_MSG_BYTES,
+};
 use crate::contract::{
     is_repair_round, ContractAction, ContractController, ContractReport, ContractStats,
     LEGACY_CONTRACT,
@@ -37,6 +40,7 @@ use crate::dist_plan::DistributedPlan;
 use crate::offer::{Offer, RfbItem};
 use crate::seller::{session_req, SellerEngine, SessionRfb};
 use qt_catalog::{NodeId, RelId, SchemaDict};
+use qt_cost::NetLink;
 use qt_net::{Ctx, FaultPlan, Handler, Simulator, Topology};
 use qt_query::Query;
 use qt_trade::semcache::{Probe, ProbeOutcome, SemCache};
@@ -120,16 +124,6 @@ pub struct HierarchyConfig {
     /// level fits the fanout. With `sellers <= fanout` no brokers are built
     /// and the buyer scopes RFBs straight to seller digests.
     pub fanout: usize,
-    /// Offers a broker keeps per `(item, offer kind)` when aggregating
-    /// upward, in deterministic `(cost bits, seller, offer id)` order.
-    /// `0` (the default) keeps everything — lossless, and bit-identical
-    /// plans to flat broadcast whenever digests are exact.
-    pub broker_top_k: usize,
-    /// Seconds between periodic seller re-advertisements (`0` = off; the
-    /// runner-injected tick at t=0 — plus [`Self::advertise_at`] — is then
-    /// the only advertisement). See the caveat on
-    /// [`SellerEngine::readvertise_interval`].
-    pub readvertise_interval: f64,
     /// Admission control: distinct sessions a broker forwards concurrently.
     /// An RFB for a session beyond the bound is answered with an explicit
     /// [`ServeMsg::Shed`] (the buyer aborts that session, reported with
@@ -142,11 +136,12 @@ pub struct HierarchyConfig {
     pub advertise_at: Vec<(f64, NodeId)>,
     /// Regional broker failover: every broker gets a standby replica that
     /// shadows the region's advertisements, probes its primary with
-    /// zero-byte leases (`lease_interval` / `max_lease_misses` from
-    /// [`QtConfig`]), and promotes itself when the primary goes silent —
-    /// re-advertising the region digest upward and re-scoping in-flight
-    /// RFBs so aggregation stays lossless. `false` (the default) builds no
-    /// standbys and keeps runs bit-identical to earlier releases.
+    /// zero-byte leases ([`QtConfig::lease_interval`],
+    /// [`MAX_LEASE_MISSES`](crate::config::MAX_LEASE_MISSES)), and promotes
+    /// itself when the primary goes silent — re-advertising the region
+    /// digest upward and re-scoping in-flight RFBs so aggregation stays
+    /// lossless. `false` (the default) builds no standbys and keeps runs
+    /// bit-identical to earlier releases.
     pub failover: bool,
 }
 
@@ -154,8 +149,6 @@ impl Default for HierarchyConfig {
     fn default() -> Self {
         HierarchyConfig {
             fanout: 8,
-            broker_top_k: 0,
-            readvertise_interval: 0.0,
             max_broker_inflight: 0,
             advertise_at: Vec::new(),
             failover: false,
@@ -265,8 +258,7 @@ pub enum ServeMsg {
     Negotiate,
     /// Make a seller (re)compute and advertise its relation digest. Injected
     /// by the runner at t=0 and at every `advertise_at` entry (join /
-    /// recovery / catalog drift), and self-rescheduled when
-    /// `readvertise_interval > 0`. Local — injections are excluded from
+    /// recovery / catalog drift). Local — injections are excluded from
     /// protocol message counts like `Arrive`.
     AdTick,
     /// Digest advertisement, child → parent: `(advertiser, digest, epoch)`
@@ -285,15 +277,15 @@ pub enum ServeMsg {
         /// The round the refused RFB carried.
         round: u32,
     },
-    /// A broker's aggregated answer for one session round: its children's
-    /// offers (top-k pruned, deterministic order), plus the seller
-    /// descendants that never answered (after broker-side retries).
+    /// A broker's aggregated answer for one session round: all its
+    /// children's offers, plus the seller descendants that never answered
+    /// (after broker-side retries).
     AggOffers {
         /// The session being answered.
         session: SessionId,
         /// The round being answered.
         round: u32,
-        /// Surviving offers, ascending `(seller, offer id)`.
+        /// The offers, ascending `(seller, offer id)`.
         offers: Vec<Offer>,
         /// Seller descendants that never answered.
         missing: Vec<NodeId>,
@@ -518,9 +510,9 @@ impl Handler<ServeMsg> for ServeNode {
                 }
                 let resps = engine.respond_batch(&entries);
                 let effort: u64 = resps.iter().map(|r| r.effort).sum();
-                ctx.charge_compute(effort as f64 * engine.config().per_subplan_seconds);
+                ctx.charge_compute(effort as f64 * PER_SUBPLAN_SECONDS);
                 let offers: usize = resps.iter().map(|r| r.offers.len()).sum();
-                let bytes = offers as f64 * engine.config().offer_msg_bytes;
+                let bytes = offers as f64 * OFFER_MSG_BYTES;
                 let replies: Vec<(SessionId, u32, Vec<Offer>)> = entries
                     .iter()
                     .zip(resps)
@@ -546,11 +538,10 @@ impl Handler<ServeMsg> for ServeNode {
                     if engine.accept_award(contract) {
                         engine.observe_award_for_offer(true, session, offer);
                     }
-                    let bytes = engine.config().offer_msg_bytes;
                     ctx.send(
                         from,
                         ServeMsg::AwardAck { session, contract },
-                        bytes,
+                        OFFER_MSG_BYTES,
                         "award-ack",
                     );
                 }
@@ -580,9 +571,6 @@ impl Handler<ServeMsg> for ServeNode {
                     // Mirror to the region standby so a promoted replica
                     // already knows the membership it inherits.
                     ctx.send(cc, ad, AD_BYTES, "advertise");
-                }
-                if engine.readvertise_interval > 0.0 {
-                    ctx.schedule(engine.readvertise_interval, ServeMsg::AdTick, "ad-tick");
                 }
             }
             (ServeNode::Seller(engine), ServeMsg::Promote { failed }) => {
@@ -877,7 +865,7 @@ impl SessionManager {
                 .respond_batch(std::slice::from_ref(&entry))
                 .pop()
                 .expect("one entry, one response");
-            ctx.charge_compute(resp.effort as f64 * self.config.per_subplan_seconds);
+            ctx.charge_compute(resp.effort as f64 * PER_SUBPLAN_SECONDS);
             self.sessions
                 .get_mut(&s)
                 .expect("staged session is live")
@@ -918,6 +906,21 @@ impl SessionManager {
             .get(s.0 as usize)
             .copied()
             .unwrap_or(0)
+    }
+
+    /// `s`'s current round again, as first staged: same request id, items
+    /// and hints, for a retransmission or a re-scoped resend.
+    fn current_rfb(&self, s: SessionId) -> SessionRfb {
+        let sess = &self.sessions[&s];
+        let round = sess.engine.round;
+        SessionRfb {
+            session: s,
+            req: session_req(s, round),
+            round,
+            items: Arc::clone(&sess.cur_items),
+            hints: Arc::clone(&sess.cur_hints),
+            priority: self.priority_of(s),
+        }
     }
 
     /// Is broker failover switched on for this run?
@@ -987,8 +990,7 @@ impl SessionManager {
             self.shed_retries += 1;
             self.flat_retry.insert(s);
             self.queries[s.0 as usize] = Some(sess.engine.query.clone());
-            let base = self.config.seller_timeout * self.timeout_scale;
-            let delay = (base * self.config.rfb_retry_backoff).min(8.0 * base);
+            let delay = retry_delay(self.config.seller_timeout * self.timeout_scale, 1);
             ctx.schedule(delay, ServeMsg::ShedRetry { session: s }, "shed-retry");
             self.admit(ctx);
             return;
@@ -1035,12 +1037,11 @@ impl SessionManager {
                     .iter()
                     .map(|e| (e.items.len() + e.hints.len()) as f64)
                     .sum::<f64>()
-                    * self.config.query_msg_bytes;
+                    * QUERY_MSG_BYTES;
                 ctx.send(seller, ServeMsg::Rfb { entries }, bytes, "rfb");
             } else {
                 for e in entries {
-                    let bytes =
-                        (e.items.len() + e.hints.len()) as f64 * self.config.query_msg_bytes;
+                    let bytes = (e.items.len() + e.hints.len()) as f64 * QUERY_MSG_BYTES;
                     ctx.send(seller, ServeMsg::Rfb { entries: vec![e] }, bytes, "rfb");
                 }
             }
@@ -1122,27 +1123,16 @@ impl SessionManager {
             (missing, sess.attempt)
         };
         self.timeouts_fired += 1;
-        if !missing.is_empty() && attempt < self.config.max_rfb_retries {
-            let entry = {
-                let sess = self.sessions.get_mut(&session).expect("checked above");
-                sess.attempt += 1;
-                SessionRfb {
-                    session,
-                    req: session_req(session, round),
-                    round,
-                    items: Arc::clone(&sess.cur_items),
-                    hints: Arc::clone(&sess.cur_hints),
-                    priority: self.priority_of(session),
-                }
-            };
+        if !missing.is_empty() && attempt < MAX_RFB_RETRIES {
+            let sess = self.sessions.get_mut(&session).expect("checked above");
+            sess.attempt += 1;
+            let entry = self.current_rfb(session);
             for &m in &missing {
                 self.retries += 1;
                 self.stage.entry(m).or_default().push(entry.clone());
             }
             self.ensure_flush(ctx);
-            let base = self.config.seller_timeout * self.timeout_scale;
-            let delay =
-                (base * self.config.rfb_retry_backoff.powi((attempt + 1) as i32)).min(8.0 * base);
+            let delay = retry_delay(self.config.seller_timeout * self.timeout_scale, attempt + 1);
             ctx.schedule(delay, ServeMsg::Timeout { session, round }, "timeout");
         } else if !missing.is_empty()
             && self.failover_on()
@@ -1155,18 +1145,9 @@ impl SessionManager {
             // stays lossless, and merge order is aliased back to the failed
             // child's slot so plans keep their flat-order bit-identity.
             self.region_fallbacks += 1;
-            let entry = {
-                let sess = self.sessions.get_mut(&session).expect("checked above");
-                sess.fell_back = true;
-                SessionRfb {
-                    session,
-                    req: session_req(session, round),
-                    round,
-                    items: Arc::clone(&sess.cur_items),
-                    hints: Arc::clone(&sess.cur_hints),
-                    priority: self.priority_of(session),
-                }
-            };
+            let sess = self.sessions.get_mut(&session).expect("checked above");
+            sess.fell_back = true;
+            let entry = self.current_rfb(session);
             let mut targets: Vec<NodeId> = Vec::new();
             {
                 let desc = &self.desc;
@@ -1244,12 +1225,12 @@ impl SessionManager {
                 .last()
                 .map(|h| h.considered)
                 .unwrap_or(0);
-            ctx.charge_compute(considered as f64 * self.config.per_offer_seconds);
+            ctx.charge_compute(considered as f64 * PER_OFFER_SECONDS);
             let neg_msgs = sess.engine.negotiation_messages - sess.prev_neg_msgs;
             let neg_rts = sess.engine.negotiation_round_trips - sess.prev_neg_rts;
             sess.prev_neg_msgs = sess.engine.negotiation_messages;
             sess.prev_neg_rts = sess.engine.negotiation_round_trips;
-            ctx.charge_compute(neg_rts as f64 * 2.0 * self.config.link.latency);
+            ctx.charge_compute(neg_rts as f64 * 2.0 * NetLink::wan().latency);
             (outcome, neg_msgs)
         };
         // Negotiation traffic targets the children the round actually spoke
@@ -1259,12 +1240,7 @@ impl SessionManager {
             let neg_targets = neg_targets.clone();
             for i in 0..neg_msgs {
                 let to = neg_targets[i as usize % neg_targets.len()];
-                ctx.send(
-                    to,
-                    ServeMsg::Negotiate,
-                    self.config.offer_msg_bytes,
-                    "negotiate",
-                );
+                ctx.send(to, ServeMsg::Negotiate, OFFER_MSG_BYTES, "negotiate");
             }
         }
         match outcome {
@@ -1312,7 +1288,7 @@ impl SessionManager {
                         contract: LEGACY_CONTRACT,
                         offer,
                     },
-                    self.config.offer_msg_bytes,
+                    OFFER_MSG_BYTES,
                     "award",
                 );
             }
@@ -1410,7 +1386,7 @@ impl SessionManager {
         self.unreachable.remove(&failed);
         // Re-scope in-flight rounds: any open session still waiting on the
         // crashed broker swaps it for the standby and resends the entry.
-        let mut resend: Vec<(NodeId, SessionRfb)> = Vec::new();
+        let mut resend: Vec<(NodeId, SessionId)> = Vec::new();
         for (&s, sess) in self.sessions.iter_mut() {
             if !sess.round_open {
                 continue;
@@ -1428,22 +1404,7 @@ impl SessionManager {
                 sess.recipients.sort_unstable();
             }
             if !sess.pending.contains_key(&from) {
-                resend.push((
-                    from,
-                    SessionRfb {
-                        session: s,
-                        req: session_req(s, sess.engine.round),
-                        round: sess.engine.round,
-                        items: Arc::clone(&sess.cur_items),
-                        hints: Arc::clone(&sess.cur_hints),
-                        priority: self
-                            .serve
-                            .priorities
-                            .get(s.0 as usize)
-                            .copied()
-                            .unwrap_or(0),
-                    },
-                ));
+                resend.push((from, s));
             }
         }
         let complete: Vec<SessionId> = self
@@ -1456,8 +1417,9 @@ impl SessionManager {
             })
             .map(|(&s, _)| s)
             .collect();
-        for (to, entry) in resend {
+        for (to, s) in resend {
             self.retries += 1;
+            let entry = self.current_rfb(s);
             self.stage.entry(to).or_default().push(entry);
         }
         self.ensure_flush(ctx);
@@ -1504,7 +1466,7 @@ impl SessionManager {
                         contract,
                         offer,
                     },
-                    self.config.offer_msg_bytes,
+                    OFFER_MSG_BYTES,
                     "award",
                 ),
                 ContractAction::ArmAwardTimer { contract, delay } => ctx.schedule(
@@ -1537,7 +1499,7 @@ impl SessionManager {
                         session: s,
                         contract,
                     },
-                    self.config.offer_msg_bytes,
+                    OFFER_MSG_BYTES,
                     "release",
                 ),
                 ContractAction::SendRetrade {
@@ -1553,7 +1515,7 @@ impl SessionManager {
                         items: Arc::new(items),
                         hints: Arc::new(Vec::new()),
                     };
-                    let bytes = entry.items.len() as f64 * self.config.query_msg_bytes;
+                    let bytes = entry.items.len() as f64 * QUERY_MSG_BYTES;
                     for seller in targets {
                         ctx.send(
                             seller,
@@ -1662,7 +1624,7 @@ pub struct ServeOutcome {
 
 /// Serve `arrivals` — `(virtual arrival time, query)` pairs, arrival times
 /// non-decreasing — through one federation on the discrete-event simulator
-/// with a uniform topology built from `config.link`.
+/// over a uniform WAN topology ([`NetLink::wan`]).
 ///
 /// Every query becomes a [`SessionId`] in arrival order. At most
 /// `serve.concurrency` sessions trade at once; the rest queue FIFO. Returns
@@ -1693,14 +1655,14 @@ pub fn run_qt_serve_with_faults(
     serve: &ServeConfig,
     faults: Option<FaultPlan>,
 ) -> ServeOutcome {
-    let topology = Topology::Uniform(config.link);
+    let topology = Topology::Uniform(NetLink::wan());
     serve_on_sim(
         buyer_node, dict, arrivals, sellers, config, serve, topology, faults,
     )
 }
 
 /// [`run_qt_serve_with_faults`] over an arbitrary [`Topology`]. Sellers still
-/// *estimate* delivery with `config.link` — autonomous nodes do not know
+/// *estimate* delivery over a WAN link — autonomous nodes do not know
 /// where the buyer sits — while actual message transport follows the
 /// topology.
 #[allow(clippy::too_many_arguments)]
@@ -1992,7 +1954,6 @@ fn build_hierarchy(
         // With failover on, the region's standby mirrors the seller ads so a
         // promoted replica knows the digest without a discovery round-trip.
         e.advertise_cc = tree.standby_of(parent);
-        e.readvertise_interval = h.readvertise_interval;
     }
     tree
 }

@@ -18,6 +18,7 @@ use qt_core::{
     run_qt_serve_with_faults, run_qt_sim_with_faults, QtConfig, QtOutcome, SellerEngine,
     ServeConfig,
 };
+use qt_cost::NetLink;
 use qt_net::{FaultPlan, Metrics, Topology};
 use qt_query::Query;
 use qt_workload::{build_federation, gen_join_query, Federation, FederationSpec, QueryShape};
@@ -64,7 +65,7 @@ fn run(
         q,
         engines(fed, cfg),
         cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         faults,
     )
 }

@@ -18,6 +18,7 @@
 //!    runs the same crash plan to the same promotions and plans as the sim.
 
 use qt_catalog::NodeId;
+use qt_core::config::MAX_LEASE_MISSES;
 use qt_core::{
     run_qt_serve, run_qt_serve_real_with_faults, run_qt_serve_with_faults, HierarchyConfig,
     QtConfig, SellerEngine, ServeConfig, ServeOutcome,
@@ -95,7 +96,6 @@ fn cfg() -> QtConfig {
     QtConfig {
         seller_timeout: 300.0,
         lease_interval: 2.0,
-        max_lease_misses: 2,
         ..QtConfig::default()
     }
 }
@@ -162,10 +162,10 @@ fn crashed_primary_promotes_standby_and_plans_match_crash_free() {
     let (failed, standby, at) = out.promoted_regions[0];
     assert_eq!(failed, PRIMARY);
     assert_eq!(standby, STANDBY);
-    // Promotion latency: `max_lease_misses` unanswered intervals plus the
+    // Promotion latency: `MAX_LEASE_MISSES` unanswered intervals plus the
     // deciding tick, plus one interval of probe-phase slack.
     let c = cfg();
-    let deadline = (c.max_lease_misses + 2) as f64 * c.lease_interval;
+    let deadline = (MAX_LEASE_MISSES + 2) as f64 * c.lease_interval;
     assert!(
         at - crash_at <= deadline,
         "promotion at {at} exceeds lease deadline {deadline} after crash at {crash_at}"

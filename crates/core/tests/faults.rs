@@ -4,6 +4,7 @@
 
 use qt_catalog::NodeId;
 use qt_core::{run_qt_sim_with_faults, QtConfig, SellerEngine};
+use qt_cost::NetLink;
 use qt_net::{FaultPlan, Metrics, Topology};
 use qt_workload::{build_federation, gen_join_query, Federation, FederationSpec, QueryShape};
 use std::collections::BTreeMap;
@@ -67,7 +68,7 @@ fn inert_fault_plane_is_bit_identical_to_no_plan() {
         &q,
         engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         None,
     );
     let with_inert = run_qt_sim_with_faults(
@@ -76,7 +77,7 @@ fn inert_fault_plane_is_bit_identical_to_no_plan() {
         &q,
         engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         Some(FaultPlan::lossy(99, 0.0)),
     );
     assert!(baseline.0.plan.is_some());
@@ -105,7 +106,7 @@ fn lossy_network_still_yields_a_valid_plan() {
         &q,
         engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         Some(FaultPlan::lossy(7, 0.15)),
     );
     let plan = out.plan.expect("trading must survive 15% loss");
@@ -136,7 +137,7 @@ fn duplicated_deliveries_are_idempotent() {
         &q,
         engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         None,
     );
     let dup = run_qt_sim_with_faults(
@@ -145,7 +146,7 @@ fn duplicated_deliveries_are_idempotent() {
         &q,
         engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         Some(FaultPlan::default().with_duplicates(1.0)),
     );
     assert!(dup.1.duplicated > 0);
@@ -175,7 +176,7 @@ fn crashed_seller_degrades_the_round_and_is_reported() {
         &q,
         engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(cfg.link),
+        Topology::Uniform(NetLink::wan()),
         // Node 3 is down for the whole run.
         Some(FaultPlan::default().with_crash(NodeId(3), 0.0, 1e12)),
     );
@@ -210,7 +211,7 @@ fn same_fault_seed_is_bit_reproducible() {
             &q,
             engines(&fed, &cfg),
             &cfg,
-            Topology::Uniform(cfg.link),
+            Topology::Uniform(NetLink::wan()),
             Some(
                 FaultPlan::lossy(13, 0.2)
                     .with_duplicates(0.1)
@@ -239,7 +240,7 @@ fn different_fault_seeds_usually_differ() {
             &q,
             engines(&fed, &cfg),
             &cfg,
-            Topology::Uniform(cfg.link),
+            Topology::Uniform(NetLink::wan()),
             Some(FaultPlan::lossy(seed, 0.2)),
         );
         (m.dropped, m.retries, out.optimization_time.to_bits())

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use qt_catalog::NodeId;
 use qt_core::{run_qt_direct, QtConfig, QtOutcome, SellerEngine};
+use qt_cost::NetLink;
 use qt_workload::{build_federation, gen_join_query, Federation, FederationSpec, QueryShape};
 use std::collections::BTreeMap;
 
@@ -156,7 +157,7 @@ fn fault_injection_is_deterministic_across_thread_counts() {
             &q,
             engines(&fed, &cfg),
             &cfg,
-            Topology::Uniform(cfg.link),
+            Topology::Uniform(NetLink::wan()),
             Some(
                 FaultPlan::lossy(fault_seed, 0.15)
                     .with_duplicates(0.05)

@@ -792,7 +792,7 @@ fn two_tier_topology_speeds_up_local_markets() {
             &q,
             sellers,
             &cfg,
-            Topology::Uniform(cfg.link),
+            Topology::Uniform(qt_cost::NetLink::wan()),
             None,
         )
         .0
@@ -806,7 +806,7 @@ fn two_tier_topology_speeds_up_local_markets() {
             sellers,
             &cfg,
             // Everyone in one 64-node region.
-            Topology::two_tier(64, qt_cost::NetLink::lan(), cfg.link).unwrap(),
+            Topology::two_tier(64, qt_cost::NetLink::lan(), qt_cost::NetLink::wan()).unwrap(),
             None,
         )
         .0
