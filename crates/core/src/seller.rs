@@ -189,11 +189,6 @@ impl SellerEngine {
         }
     }
 
-    /// The run configuration this seller was built with.
-    pub fn config(&self) -> &QtConfig {
-        &self.config
-    }
-
     /// Swap in (re)calibrated cost constants — e.g. a snapshot persisted by
     /// [`crate::calib`] from an earlier serving session. Cached replies were
     /// priced under the old constants, so the offer cache is cleared.
