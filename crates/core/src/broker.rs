@@ -4,9 +4,8 @@
 //! protocol. Brokers speak [`ServeMsg`] and are assembled by the serving
 //! runners in [`session`](crate::session).
 
-use crate::config::{
-    retry_delay, QtConfig, MAX_LEASE_MISSES, MAX_RFB_RETRIES, OFFER_MSG_BYTES, QUERY_MSG_BYTES,
-};
+use crate::config::{retry_delay, QtConfig, MAX_LEASE_MISSES, MAX_RFB_RETRIES, OFFER_MSG_BYTES};
+use crate::discovery::{items_digest, record_ad};
 use crate::offer::Offer;
 use crate::seller::SessionRfb;
 use crate::session::{HierarchyConfig, ServeMsg, AD_BYTES};
@@ -247,10 +246,7 @@ impl BrokerNode {
             return; // not a child region of ours
         }
         self.child_ads.remove(&failed);
-        let e = self.child_ads.entry(from).or_insert((0, 0));
-        if epoch > e.1 {
-            *e = (digest, epoch);
-        }
+        record_ad(&mut self.child_ads, from, digest, epoch);
         self.promoted.insert(failed, from);
         self.down.remove(&failed);
         if let Some(d) = self.desc.remove(&failed) {
@@ -279,7 +275,7 @@ impl BrokerNode {
         }
         for (entry, to) in resend {
             self.retries += 1;
-            let bytes = (entry.items.len() + entry.hints.len()) as f64 * QUERY_MSG_BYTES;
+            let bytes = entry.wire_bytes();
             ctx.send(
                 to,
                 ServeMsg::Rfb {
@@ -343,11 +339,7 @@ impl BrokerNode {
             if origin != from || !self.children.contains(&origin) {
                 continue; // not ours to track
             }
-            let e = self.child_ads.entry(origin).or_insert((0, 0));
-            if epoch > e.1 {
-                changed |= e.0 != digest;
-                *e = (digest, epoch);
-            }
+            changed |= record_ad(&mut self.child_ads, origin, digest, epoch);
             // Advertising proves liveness: route through the child again.
             changed |= self.down.remove(&origin);
         }
@@ -427,10 +419,7 @@ impl BrokerNode {
                     }
                 }
             }
-            let want: u64 = entry
-                .items
-                .iter()
-                .fold(0, |d, it| d | crate::discovery::query_digest(&it.query));
+            let want = items_digest(&entry.items);
             let recipients: Vec<NodeId> = self
                 .children
                 .iter()
@@ -476,11 +465,7 @@ impl BrokerNode {
             );
         }
         for (child, ents) in fwd {
-            let bytes: f64 = ents
-                .iter()
-                .map(|e| (e.items.len() + e.hints.len()) as f64)
-                .sum::<f64>()
-                * QUERY_MSG_BYTES;
+            let bytes = ents.iter().map(SessionRfb::wire_bytes).sum();
             ctx.send(child, ServeMsg::Rfb { entries: ents }, bytes, "rfb");
         }
     }
@@ -575,7 +560,7 @@ impl BrokerNode {
             r.attempt += 1;
             let attempt = r.attempt;
             let entry = r.entry.clone();
-            let bytes = (entry.items.len() + entry.hints.len()) as f64 * QUERY_MSG_BYTES;
+            let bytes = entry.wire_bytes();
             for &c in &lag {
                 self.retries += 1;
                 ctx.send(

@@ -30,6 +30,7 @@
 //! `FaultPlan` crash machinery — a crashed-from-boot node joins the
 //! federation the moment its first advertisement lands.
 
+use crate::offer::RfbItem;
 use crate::seller::SellerEngine;
 use qt_catalog::{NodeId, RelId};
 use qt_query::Query;
@@ -51,6 +52,12 @@ pub fn query_digest(q: &Query) -> u64 {
     digest(q.rel_ids())
 }
 
+/// Digest of the relations an RFB's items touch: a child whose digest misses
+/// it has nothing to bid.
+pub(crate) fn items_digest(items: &[RfbItem]) -> u64 {
+    items.iter().fold(0, |d, it| d | query_digest(&it.query))
+}
+
 /// The relations `engine` can produce offers for: everything it holds a
 /// partition of, plus everything its materialized views are defined over.
 /// This is exactly the offer-construction surface with subcontracting off —
@@ -67,6 +74,24 @@ pub fn seller_digest(engine: &SellerEngine) -> u64 {
 /// One advertisement: `(advertiser, digest, epoch)`. Epochs increase
 /// monotonically per advertiser; stale re-deliveries are ignored.
 pub type SellerAd = (NodeId, u64, u64);
+
+/// Record `child`'s advertisement of `digest` at `epoch` in `ads` (child →
+/// (digest, epoch)) unless an advertisement at that epoch or a later one is
+/// already held. Returns whether the child's digest changed.
+pub(crate) fn record_ad(
+    ads: &mut BTreeMap<NodeId, (u64, u64)>,
+    child: NodeId,
+    digest: u64,
+    epoch: u64,
+) -> bool {
+    let e = ads.entry(child).or_insert((0, 0));
+    if epoch <= e.1 {
+        return false;
+    }
+    let changed = e.0 != digest;
+    *e = (digest, epoch);
+    changed
+}
 
 /// One broker of the tree.
 #[derive(Debug, Clone)]

@@ -13,9 +13,10 @@
 //! * **Batching**: all RFB items destined for the same seller in the same
 //!   scheduling instant coalesce into one [`ServeMsg::Rfb`] message (one
 //!   entry per session), and the seller answers the whole batch with one
-//!   [`SellerEngine::respond_batch`] pass — one parallel fork/join, one
-//!   reply message — sharing its offer cache across sessions while offer
-//!   ids and hints stay session-isolated.
+//!   [`SellerEngine::respond_batch`] pass — the reply path every seller
+//!   call goes through, here with one request per session: one parallel
+//!   fork/join, one reply message — sharing its offer cache across
+//!   sessions while offer ids and hints stay session-isolated.
 //! * **Determinism**: every simulator event is ordered by `(virtual time,
 //!   arrival seq)`; batched entries are sorted by session id; sellers are
 //!   iterated in ascending `NodeId`; and all per-session state (engines,
@@ -29,13 +30,13 @@ pub use crate::broker::BrokerNode;
 use crate::buyer::{remote_awards, BuyerEngine, IterationStats, RoundOutcome};
 use crate::compensate::compensate_plan;
 use crate::config::{
-    retry_delay, QtConfig, MAX_RFB_RETRIES, OFFER_MSG_BYTES, PER_OFFER_SECONDS,
-    PER_SUBPLAN_SECONDS, QUERY_MSG_BYTES,
+    retry_delay, QtConfig, MAX_RFB_RETRIES, OFFER_MSG_BYTES, PER_OFFER_SECONDS, PER_SUBPLAN_SECONDS,
 };
 use crate::contract::{
     is_repair_round, ContractAction, ContractController, ContractReport, ContractStats,
     LEGACY_CONTRACT,
 };
+use crate::discovery::{items_digest, record_ad};
 use crate::dist_plan::DistributedPlan;
 use crate::offer::{Offer, RfbItem};
 use crate::seller::{session_req, SellerEngine, SessionRfb};
@@ -614,10 +615,7 @@ impl Handler<ServeMsg> for ServeNode {
             }
             (ServeNode::Buyer(m), ServeMsg::Advertise { ads }) => {
                 for (origin, digest, epoch) in ads {
-                    let e = m.child_ads.entry(origin).or_insert((0, 0));
-                    if epoch > e.1 {
-                        *e = (digest, epoch);
-                    }
+                    record_ad(&mut m.child_ads, origin, digest, epoch);
                 }
             }
             (ServeNode::Buyer(m), ServeMsg::Shed { session, .. }) => m.on_shed(ctx, session),
@@ -941,9 +939,7 @@ impl SessionManager {
         if self.config.enable_subcontracting {
             return self.children.clone();
         }
-        let want: u64 = items
-            .iter()
-            .fold(0, |d, it| d | crate::discovery::query_digest(&it.query));
+        let want = items_digest(items);
         let scoped: Vec<NodeId> = self
             .children
             .iter()
@@ -1033,15 +1029,11 @@ impl SessionManager {
         for (seller, mut entries) in stage {
             entries.sort_by_key(|e| (e.session, e.round));
             if self.serve.batch_rfbs {
-                let bytes: f64 = entries
-                    .iter()
-                    .map(|e| (e.items.len() + e.hints.len()) as f64)
-                    .sum::<f64>()
-                    * QUERY_MSG_BYTES;
+                let bytes = entries.iter().map(SessionRfb::wire_bytes).sum();
                 ctx.send(seller, ServeMsg::Rfb { entries }, bytes, "rfb");
             } else {
                 for e in entries {
-                    let bytes = (e.items.len() + e.hints.len()) as f64 * QUERY_MSG_BYTES;
+                    let bytes = e.wire_bytes();
                     ctx.send(seller, ServeMsg::Rfb { entries: vec![e] }, bytes, "rfb");
                 }
             }
@@ -1374,10 +1366,7 @@ impl SessionManager {
             return; // not a region of ours (or a duplicate after a swap)
         }
         self.child_ads.remove(&failed);
-        let e = self.child_ads.entry(from).or_insert((0, 0));
-        if epoch > e.1 {
-            *e = (digest, epoch);
-        }
+        record_ad(&mut self.child_ads, from, digest, epoch);
         self.promoted.insert(failed, from);
         self.region_alias.insert(from, failed);
         if let Some(d) = self.desc.remove(&failed) {
@@ -1515,7 +1504,7 @@ impl SessionManager {
                         items: Arc::new(items),
                         hints: Arc::new(Vec::new()),
                     };
-                    let bytes = entry.items.len() as f64 * QUERY_MSG_BYTES;
+                    let bytes = entry.wire_bytes();
                     for seller in targets {
                         ctx.send(
                             seller,
