@@ -217,8 +217,8 @@ impl BuyerEngine {
         }
         let mut new = next_queries(&self.dict, &self.query, &gen, &self.offers, &self.asked);
         new.truncate(MAX_NEW_QUERIES_PER_ROUND);
-        // B7: stop when the working set stopped growing AND the plan stopped
-        // improving (the paper's double condition).
+        // B7: stop as soon as the working set stops growing (no new
+        // queries) or, after round 0, the plan stops improving.
         if new.is_empty() || (!improved && self.round > 0) {
             return RoundOutcome::Done;
         }

@@ -5,17 +5,18 @@
 //! the user query) and autonomous *seller* nodes (everyone else). Per
 //! iteration (Fig. 2 of the paper):
 //!
-//! | Step | Module |
-//! |------|--------|
-//! | B1: strategic valuation of the working set Q | [`qt_trade::BuyerValueBook`] via [`buyer`] |
-//! | B2: Request-For-Bids broadcast | [`driver`] (in-process), [`session`] (networked) |
-//! | S2.1–2.2: partial query construction & cost estimation | [`seller`] |
-//! | S2.3: seller predicates analyser (materialized views) | [`seller`] |
-//! | B3/S3: nested winner-selection negotiation | [`qt_trade::ProtocolKind`] via [`buyer`] |
-//! | B4: candidate plan generation (answering queries using offers) | [`plangen`] |
-//! | B5/B6: buyer predicates analyser (new working set) | [`analyser`] |
-//! | B7/B8: convergence check, best plan | [`buyer`] |
-//! | scale-out: broker tier, admission control, regional failover | [`broker`] over [`discovery`] |
+//! | Step | Code |
+//! |------|------|
+//! | B0: the first RFB, the query at its strategic value | [`BuyerEngine::start`] |
+//! | B1: strategic valuation of the working set Q | [`qt_trade::BuyerValueBook`], fed by [`BuyerEngine::receive_offers`] |
+//! | B2: Request-For-Bids broadcast | [`run_qt_direct`] (in-process), [`SessionManager`] (networked) |
+//! | S2.1–2.2: partial query construction & cost estimation | [`SellerEngine::respond`], [`SellerEngine::respond_with_hints`], [`SellerEngine::respond_batch`] |
+//! | S2.3: seller predicates analyser (materialized views) | the same three, one reply path behind them |
+//! | B3/S3: nested winner-selection negotiation | [`qt_trade::ProtocolKind::negotiate`] in [`BuyerEngine::close_round`] |
+//! | B4: candidate plan generation (answering queries using offers) | [`plangen::PlanGenerator::generate`] |
+//! | B5/B6: buyer predicates analyser (new working set) | [`analyser::next_queries`] |
+//! | B7/B8: convergence check, best plan | [`BuyerEngine::close_round`] |
+//! | scale-out: broker tier, admission control, regional failover | [`BrokerNode`] over [`discovery`] |
 //!
 //! The engines are transport-independent, and exactly two loops drive them.
 //! [`driver::run_qt_direct`] is the in-process oracle: a synchronous loop
