@@ -18,6 +18,9 @@
 //!   optimization) are handed the global catalog.
 //! * [`fnv`] — [`Fnv1a`], the deterministic hasher behind hash
 //!   partitioning here and query fingerprints in `qt-query`.
+//! * [`wire`] — the one binary codec ([`wire::Wire`]) behind protocol
+//!   messages, calibration snapshots and spill files; each crate above
+//!   declares its own types' layouts with [`impl_wire!`].
 //!
 //! Nothing in this crate knows about queries, costs, or the network; those
 //! live in the crates stacked above.
@@ -31,6 +34,7 @@ pub mod placement;
 pub mod schema;
 pub mod stats;
 pub mod value;
+pub mod wire;
 
 pub use builder::CatalogBuilder;
 pub use error::CatalogError;

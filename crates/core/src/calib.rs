@@ -4,8 +4,8 @@
 //! operator timings, but the fit used to die with the process — every
 //! serving run re-traded on the reference constants until enough traffic
 //! re-calibrated them. This module snapshots fitted params through the
-//! hand-rolled [`Wire`] codec (no serde, same framing
-//! as the transport) so a later `run_qt_serve` starts with calibrated costs:
+//! workspace's [`Wire`] codec (no serde, the same encoding the transport
+//! uses) so a later `run_qt_serve` starts with calibrated costs:
 //! set [`crate::ServeConfig::calibration_path`] and the serving runners call
 //! [`load_cost_params`] before building a single offer.
 //!
@@ -15,8 +15,8 @@
 //! configured params) rather than an error — a stale snapshot must never
 //! stop the federation from serving.
 
+use qt_catalog::wire::Wire;
 use qt_cost::CostParams;
-use qt_trade::wire::Wire;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"QTCP";

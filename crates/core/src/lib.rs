@@ -25,7 +25,8 @@
 //! buyer: `qt-net` handlers that run unchanged on the discrete-event
 //! simulator (virtual time — optimization-time and message-count
 //! experiments) and on `qt_net::real` (thread-per-node on real cores,
-//! in-process channels or TCP via [`wire`]). A single-query trade
+//! in-process channels, or TCP with the [`qt_catalog::wire`] codec and the
+//! message layouts declared in [`wire`]). A single-query trade
 //! ([`run_qt_sim`], [`run_qt_real`]) is a serving run with one session at
 //! concurrency 1. Direct and networked runs produce identical plans and
 //! message counts by construction; `tests/single_session_golden.rs` and the

@@ -24,6 +24,16 @@ pub struct CostParams {
     pub startup: f64,
 }
 
+qt_catalog::impl_wire!(CostParams {
+    cpu_tuple,
+    io_byte,
+    hash_build,
+    hash_probe,
+    sort_tuple_log,
+    agg_tuple,
+    startup
+});
+
 impl CostParams {
     /// Defaults calibrated so that a 10⁶-row scan ≈ 1 s on the reference
     /// node — the same order as the paper's 30–40 s offers for multi-million

@@ -28,6 +28,17 @@ pub struct AnswerProperties {
     pub price: f64,
 }
 
+qt_catalog::impl_wire!(AnswerProperties {
+    total_time,
+    first_row_time,
+    rows_per_sec,
+    rows,
+    bytes,
+    freshness,
+    completeness,
+    price
+});
+
 impl AnswerProperties {
     /// Properties of an instantly-available, free, perfect answer of `rows`
     /// rows / `bytes` bytes. Useful as a starting point for builders.

@@ -16,7 +16,7 @@
 //!   bumping [`Metrics::send_backpressure`]), so a slow node throttles its
 //!   producers instead of ballooning memory.
 //! * **Tcp** — the same thread-per-node loop, but inter-node messages are
-//!   encoded with the [`qt_trade::wire`] codec and carried over loopback
+//!   encoded with the [`qt_catalog::wire`] codec and carried over loopback
 //!   `std::net::TcpStream`s in length-prefixed frames. This exercises the
 //!   full serialize/deserialize path and measures real frame sizes.
 //!
@@ -35,8 +35,8 @@
 
 use crate::metrics::Metrics;
 use crate::runtime::{Ctx, Handler};
+use qt_catalog::wire::{put_len, put_str, Reader, Wire, WireError};
 use qt_catalog::NodeId;
-use qt_trade::wire::{put_f64, put_str, put_u32, put_u8, Reader, Wire, WireError};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{BufWriter, Read as IoRead, Write as IoWrite};
@@ -182,44 +182,25 @@ fn frame_len(kind: &str, payload_len: usize) -> u64 {
 const FLAG_LEASE: u8 = 1;
 const FLAG_SHUTDOWN: u8 = 2;
 
-fn frame_from_payload(
-    from: NodeId,
-    payload: &[u8],
-    bytes: f64,
-    kind: &str,
-    lease: bool,
-) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + 4 + 1 + 4 + kind.len() + 8 + payload.len());
-    put_u32(
-        &mut frame,
-        (4 + 1 + 4 + kind.len() + 8 + payload.len()) as u32,
-    );
-    put_u32(&mut frame, from.0);
-    put_u8(&mut frame, if lease { FLAG_LEASE } else { 0 });
+/// One frame: the length prefix, the header and the payload.
+fn frame_from_payload(from: NodeId, payload: &[u8], bytes: f64, kind: &str, flags: u8) -> Vec<u8> {
+    let len = frame_len(kind, payload.len()) as usize;
+    let mut frame = Vec::with_capacity(len);
+    put_len(&mut frame, len - 4);
+    from.put(&mut frame);
+    flags.put(&mut frame);
     put_str(&mut frame, kind);
-    put_f64(&mut frame, bytes);
+    bytes.put(&mut frame);
     frame.extend_from_slice(payload);
-    frame
-}
-
-fn shutdown_frame(from: NodeId) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16);
-    put_u32(&mut body, from.0);
-    put_u8(&mut body, FLAG_SHUTDOWN);
-    put_str(&mut body, "shutdown");
-    put_f64(&mut body, 0.0);
-    let mut frame = Vec::with_capacity(4 + body.len());
-    put_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
     frame
 }
 
 fn decode_frame<M: Wire>(body: &[u8]) -> Result<Packet<M>, WireError> {
     let mut r = Reader::new(body);
-    let from = NodeId(r.u32()?);
-    let flags = r.u8()?;
-    let kind = intern_kind(&r.string()?);
-    let bytes = r.f64()?;
+    let from = NodeId::get(&mut r)?;
+    let flags = u8::get(&mut r)?;
+    let kind = intern_kind(r.str()?);
+    let bytes = f64::get(&mut r)?;
     if flags & FLAG_SHUTDOWN != 0 {
         return Ok(Packet::Shutdown);
     }
@@ -590,8 +571,8 @@ where
                 },
                 Outbound::Socket(streams) => match streams.get_mut(&out.to) {
                     Some(w) => {
-                        let frame =
-                            frame_from_payload(id, &payload, out.bytes, out.kind, out.lease);
+                        let flags = if out.lease { FLAG_LEASE } else { 0 };
+                        let frame = frame_from_payload(id, &payload, out.bytes, out.kind, flags);
                         if w.write_all(&frame).and_then(|_| w.flush()).is_err() {
                             metrics.record_drop("closed");
                         }
@@ -612,7 +593,7 @@ where
                         }
                     }
                     Outbound::Socket(streams) => {
-                        let frame = shutdown_frame(id);
+                        let frame = frame_from_payload(id, &[], 0.0, "shutdown", FLAG_SHUTDOWN);
                         for (_, w) in streams.iter_mut() {
                             let _ = w.write_all(&frame).and_then(|_| w.flush());
                         }
@@ -649,29 +630,7 @@ mod tests {
         Tick,
     }
 
-    impl Wire for Msg {
-        fn put(&self, out: &mut Vec<u8>) {
-            match self {
-                Msg::Ping(i) => {
-                    put_u8(out, 0);
-                    put_u32(out, *i);
-                }
-                Msg::Pong(i) => {
-                    put_u8(out, 1);
-                    put_u32(out, *i);
-                }
-                Msg::Tick => put_u8(out, 2),
-            }
-        }
-        fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            Ok(match r.u8()? {
-                0 => Msg::Ping(r.u32()?),
-                1 => Msg::Pong(r.u32()?),
-                2 => Msg::Tick,
-                t => return Err(WireError::BadTag("Msg", t)),
-            })
-        }
-    }
+    qt_catalog::impl_wire!(enum Msg { 0 => Ping(i), 1 => Pong(i), 2 => Tick });
 
     fn ping_all(transport: RealTransport) {
         // Probe on node 0 fans a ping out to 4 echo nodes and completes
@@ -772,7 +731,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_and_garbage() {
-        let f = frame_from_payload(NodeId(3), &Msg::Ping(9).encode(), 256.0, "rfb", false);
+        let f = frame_from_payload(NodeId(3), &Msg::Ping(9).encode(), 256.0, "rfb", 0);
         let body = &f[4..];
         let Ok(Packet::Msg {
             from,
@@ -790,13 +749,26 @@ mod tests {
         assert_eq!(kind, "rfb");
         assert!(!lease);
         // Shutdown frames decode without a payload.
-        let s = shutdown_frame(NodeId(1));
+        let s = frame_from_payload(NodeId(1), &[], 0.0, "shutdown", FLAG_SHUTDOWN);
         assert!(matches!(decode_frame::<Msg>(&s[4..]), Ok(Packet::Shutdown)));
         // Truncations and garbage error, never panic.
         for cut in 0..body.len() {
             assert!(decode_frame::<Msg>(&body[..cut]).is_err());
         }
         assert!(decode_frame::<Msg>(&[0xFF; 7]).is_err());
+    }
+
+    /// `wire_bytes` counts `frame_len`, so it must be what goes on the socket.
+    #[test]
+    fn frame_len_is_the_length_of_the_frame_sent() {
+        let payload = Msg::Pong(7).encode();
+        for (kind, flags) in [("rfb", 0), ("award", FLAG_LEASE), ("", 0)] {
+            let f = frame_from_payload(NodeId(2), &payload, 64.0, kind, flags);
+            assert_eq!(f.len() as u64, frame_len(kind, payload.len()));
+            assert_eq!(u32::decode(&f[..4]), Ok((f.len() - 4) as u32));
+        }
+        let s = frame_from_payload(NodeId(2), &[], 0.0, "shutdown", FLAG_SHUTDOWN);
+        assert_eq!(s.len() as u64, frame_len("shutdown", 0));
     }
 
     #[test]

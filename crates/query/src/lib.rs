@@ -22,6 +22,9 @@
 //! * [`views`] — materialized-view definitions and the subset/superset
 //!   matching used by the seller predicates analyser (§3.5).
 //!
+//! Every type here that crosses the wire has its layout declared once, in
+//! the private `wire` module, through [`qt_catalog::impl_wire!`].
+//!
 //! ## Simplifications vs. full SQL
 //!
 //! Each relation appears at most once per query (no self-joins), predicates
@@ -37,6 +40,7 @@ pub mod rewrite;
 pub mod shared;
 pub mod sql;
 pub mod views;
+mod wire;
 
 pub use contain::{implies, implies_all};
 pub use partset::PartSet;

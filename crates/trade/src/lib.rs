@@ -21,11 +21,11 @@ pub mod offer;
 pub mod protocol;
 pub mod semcache;
 pub mod strategy;
-pub mod wire;
 
 pub use contract::{ContractId, ContractState};
 pub use offer::{Bid, NegotiationOutcome};
 pub use protocol::{ProtocolKind, SessionId, MAX_ENGLISH_ROUNDS};
+/// The workspace codec's trait, re-exported from [`qt_catalog::wire`].
+pub use qt_catalog::wire::Wire;
 pub use semcache::{CacheStats, Probe, ProbeOutcome, SemCache, SemEntry};
 pub use strategy::{BuyerValueBook, SellerStrategy};
-pub use wire::{Wire, WireError};

@@ -19,6 +19,8 @@ use crate::offer::{Bid, NegotiationOutcome};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SessionId(pub u64);
 
+qt_catalog::impl_wire!(SessionId(id));
+
 impl std::fmt::Display for SessionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "s{}", self.0)
