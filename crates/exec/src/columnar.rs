@@ -15,9 +15,9 @@
 //!   by value, a single string key by dictionary code), emitted straight
 //!   into typed columns;
 //! * grace-hash spilling: join build sides and aggregate state whose input
-//!   exceeds [`ColumnarConfig::mem_budget_bytes`] partition to disk via the
-//!   hand-rolled framing in the private `spill` module and are processed one
-//!   partition at a time.
+//!   exceeds [`ColumnarConfig::mem_budget_bytes`] partition to disk through
+//!   the private `spill` module (rows in the [`qt_catalog::wire`] encoding)
+//!   and are processed one partition at a time.
 //!
 //! # Where columns live
 //!
