@@ -545,10 +545,23 @@ impl Session {
         s.trim_end().to_string()
     }
 
-    /// Throughput meta-benchmark: a burst of `n` demo-mix queries served
-    /// concurrently through the session-multiplexed simulator driver.
-    fn serve(&self, n: usize, conc: usize) -> String {
-        use qt_core::{run_qt_serve, ServeConfig};
+    /// A burst of `n` demo-mix queries served at concurrency `conc` by
+    /// `run` (a `run_qt_serve*` runner) from the shell's federation, with
+    /// RFB batching and the shell's shared result cache. `\serve` and
+    /// `\real` differ only in the runner and in how they report.
+    fn serve_burst(
+        &self,
+        n: usize,
+        conc: usize,
+        run: impl FnOnce(
+            NodeId,
+            std::sync::Arc<qt_catalog::SchemaDict>,
+            Vec<(f64, Query)>,
+            BTreeMap<NodeId, SellerEngine>,
+            &QtConfig,
+            &qt_core::ServeConfig,
+        ) -> qt_core::ServeOutcome,
+    ) -> qt_core::ServeOutcome {
         let mix = match self.demo {
             Demo::Telecom => qt_workload::telecom_mix(&self.catalog.dict),
             Demo::Synthetic => qt_workload::synthetic_mix(&self.catalog.dict, 4, 1),
@@ -577,19 +590,25 @@ impl Session {
             seller_timeout: self.config.seller_timeout.max(300.0),
             ..self.config.clone()
         };
-        let out = run_qt_serve(
+        run(
             self.buyer,
             self.catalog.dict.clone(),
             arrivals,
             sellers,
             &cfg,
-            &ServeConfig {
+            &qt_core::ServeConfig {
                 concurrency: conc,
                 batch_rfbs: true,
                 result_cache: Some(std::sync::Arc::clone(&self.result_cache)),
-                ..ServeConfig::default()
+                ..qt_core::ServeConfig::default()
             },
-        );
+        )
+    }
+
+    /// Throughput meta-benchmark: a burst of `n` demo-mix queries served
+    /// concurrently through the session-multiplexed simulator driver.
+    fn serve(&self, n: usize, conc: usize) -> String {
+        let out = self.serve_burst(n, conc, qt_core::run_qt_serve);
         let planned = out.reports.iter().filter(|r| r.plan.is_some()).count();
         let mut s = String::new();
         let _ = writeln!(
@@ -629,49 +648,10 @@ impl Session {
     /// so this command is about *feeling* the parallel runtime, not about
     /// different answers.
     fn real_serve(&self, n: usize, conc: usize) -> String {
-        use qt_core::{run_qt_serve_real, ServeConfig};
-        let mix = match self.demo {
-            Demo::Telecom => qt_workload::telecom_mix(&self.catalog.dict),
-            Demo::Synthetic => qt_workload::synthetic_mix(&self.catalog.dict, 4, 1),
-        };
-        let arrivals = qt_workload::gen_arrivals(
-            &mix,
-            &qt_workload::ArrivalSpec {
-                n_queries: n,
-                mean_interarrival: 0.0,
-                seed: 1,
-            },
-        );
-        let sellers: BTreeMap<NodeId, SellerEngine> = self
-            .catalog
-            .nodes
-            .iter()
-            .map(|&node| {
-                (
-                    node,
-                    SellerEngine::new(self.catalog.holdings_of(node), self.config.clone()),
-                )
-            })
-            .collect();
-        let cfg = QtConfig {
-            // Admission-queued sessions must not trip response deadlines.
-            seller_timeout: self.config.seller_timeout.max(300.0),
-            ..self.config.clone()
-        };
-        let out = run_qt_serve_real(
-            self.buyer,
-            self.catalog.dict.clone(),
-            arrivals,
-            sellers,
-            &cfg,
-            &ServeConfig {
-                concurrency: conc,
-                batch_rfbs: true,
-                result_cache: Some(std::sync::Arc::clone(&self.result_cache)),
-                ..ServeConfig::default()
-            },
-            qt_net::RealConfig::default(),
-        );
+        let real = qt_net::RealConfig::default();
+        let out = self.serve_burst(n, conc, |buyer, dict, arrivals, sellers, cfg, serve| {
+            qt_core::run_qt_serve_real(buyer, dict, arrivals, sellers, cfg, serve, real)
+        });
         let planned = out.reports.iter().filter(|r| r.plan.is_some()).count();
         let mut s = String::new();
         let _ = writeln!(
