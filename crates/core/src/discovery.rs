@@ -187,9 +187,9 @@ pub(crate) enum Swap {
     /// The round was not waiting on the failed child, or still waits on
     /// others.
     Unaffected,
-    /// The round now waits on the successor: send it the round's RFB.
-    Resend,
-    /// The successor had already answered, and so had everyone else.
+    /// The round now waits on these successors: send them the round's RFB.
+    Resend(Vec<NodeId>),
+    /// The successors had already answered, and so had everyone else.
     Complete,
 }
 
@@ -265,29 +265,27 @@ impl Gather {
         self.recipients.dedup();
     }
 
-    /// Ask the children `by` in place of `child`. Returns those of `by`
-    /// that were not recipients already.
-    pub(crate) fn replace(&mut self, child: NodeId, by: &[NodeId]) -> Vec<NodeId> {
-        self.recipients.retain(|&r| r != child);
-        let added: Vec<NodeId> = by
-            .iter()
-            .copied()
-            .filter(|c| !self.recipients.contains(c))
-            .collect();
-        self.recipients.extend(&added);
-        self.recipients.sort_unstable();
-        added
-    }
-
-    /// Child `failed` failed over to `from`: a round still waiting on
-    /// `failed` waits on `from` instead.
-    pub(crate) fn swap(&mut self, failed: NodeId, from: NodeId) -> Swap {
+    /// Child `failed` was replaced by `by` — its promoted standby, or the
+    /// sellers under it when the buyer routes around a dead region: a round
+    /// still waiting on `failed` waits on `by` instead.
+    pub(crate) fn swap(&mut self, failed: NodeId, by: &[NodeId]) -> Swap {
         if !self.recipients.contains(&failed) || self.replies.contains_key(&failed) {
             return Swap::Unaffected; // not asked, or answered before the crash
         }
-        self.replace(failed, &[from]);
-        if !self.replies.contains_key(&from) {
-            Swap::Resend
+        self.recipients.retain(|&r| r != failed);
+        for &c in by {
+            if !self.recipients.contains(&c) {
+                self.recipients.push(c);
+            }
+        }
+        self.recipients.sort_unstable();
+        let ask: Vec<NodeId> = by
+            .iter()
+            .copied()
+            .filter(|c| !self.replies.contains_key(c))
+            .collect();
+        if !ask.is_empty() {
+            Swap::Resend(ask)
         } else if self.replies.len() == self.recipients.len() {
             Swap::Complete
         } else {
