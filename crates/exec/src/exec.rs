@@ -2,7 +2,7 @@
 
 use crate::columnar::ColBatch;
 use crate::error::ExecError;
-use crate::plan::{AggSpec, PhysPlan};
+use crate::plan::PhysPlan;
 use crate::{Row, Table};
 use qt_catalog::{PartId, Value};
 use qt_query::{AggFunc, Col, Operand, Predicate};
@@ -393,24 +393,10 @@ pub fn execute(
     }
 }
 
-/// Convenience: aggregate spec from a query's select items.
-pub fn agg_specs(query: &qt_query::Query) -> Vec<AggSpec> {
-    query
-        .select
-        .iter()
-        .filter_map(|s| match s {
-            qt_query::SelectItem::Agg { func, arg } => Some(AggSpec {
-                func: *func,
-                arg: *arg,
-            }),
-            qt_query::SelectItem::Col(_) => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::AggSpec;
     use qt_catalog::RelId;
     use qt_query::CompOp;
     use std::collections::BTreeMap;

@@ -117,21 +117,10 @@ impl<M, H: Handler<M>> Simulator<M, H> {
         }
     }
 
-    /// Builder-style fault plan attachment.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
-    }
-
     /// Attach a [`FaultPlan`]. An inert plan (the default) is dropped so
     /// that fault-free runs take the exact code path they always did.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = if plan.is_inert() { None } else { Some(plan) };
-    }
-
-    /// The attached fault plan, if a non-inert one was set.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
     }
 
     /// Register `handler` as node `id`.

@@ -272,16 +272,6 @@ impl Query {
             .collect()
     }
 
-    /// Columns of `rel` that any *other* part of the query needs if `rel` is
-    /// computed separately: select outputs, group-by keys, and columns in
-    /// predicates touching `rel`.
-    pub fn needed_cols_of(&self, rel: RelId) -> BTreeSet<Col> {
-        self.all_cols()
-            .into_iter()
-            .filter(|c| c.rel == rel)
-            .collect()
-    }
-
     /// Group-by keys, then the columns of the `SELECT` list (plain or
     /// aggregated).
     fn output_cols(&self) -> impl Iterator<Item = Col> + '_ {
