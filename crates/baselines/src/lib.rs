@@ -191,15 +191,7 @@ pub fn run_baseline(
         buyer_considered: gen.considered,
         offer_cache_hits: 0,
         offer_cache_misses: 0,
-        retries: 0,
-        timeouts: 0,
-        degraded_rounds: 0,
-        unreachable_sellers: Vec::new(),
         contracts_awarded: 0,
-        contracts_repaired: 0,
-        reawards: 0,
-        rescoped_trades: 0,
-        contracts: Vec::new(),
         history: vec![IterationStats {
             round: 0,
             offers_received: offers.len(),

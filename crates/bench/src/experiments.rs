@@ -15,8 +15,8 @@ use crate::table::{f, Table};
 use qt_catalog::NodeId;
 use qt_core::config::MAX_LEASE_MISSES;
 use qt_core::{
-    run_qt_direct, run_qt_serve_real_with_faults, run_qt_serve_with_faults, run_qt_sim_with_faults,
-    QtConfig, QtOutcome, ServeConfig, ServeOutcome,
+    run_qt_direct, run_qt_serve_real_with_faults, run_qt_serve_with_faults, QtConfig, QtOutcome,
+    SellerEngine, ServeConfig, ServeOutcome, SessionReport,
 };
 use qt_cost::NetLink;
 use qt_net::{FaultPlan, RealConfig, RealTransport, Topology};
@@ -26,6 +26,7 @@ use qt_workload::{
     build_federation, gen_join_query, gen_join_query_with_cut, Federation, FederationSpec,
     QueryShape,
 };
+use std::collections::BTreeMap;
 
 /// Buyer node used throughout (data-less coordinator unless placement says
 /// otherwise).
@@ -67,24 +68,24 @@ fn synthetic_stream(
     gen_arrivals(&synthetic_mix(&fed.catalog.dict, mix_size, seed), &spec)
 }
 
-/// One single-query trade on the simulator: fresh sellers, `BUYER` buying.
+/// One single-query trade on the simulator, `BUYER` buying `q` alone at
+/// t = 0 from `sellers`. Returns the session's report (its `finished` time
+/// is the optimization time) and the run's outcome.
 fn trade_on_sim(
     fed: &Federation,
     q: &Query,
+    sellers: BTreeMap<NodeId, SellerEngine>,
     cfg: &QtConfig,
     topology: Topology,
     faults: Option<FaultPlan>,
-) -> (QtOutcome, qt_net::Metrics) {
+) -> (SessionReport, ServeOutcome) {
+    let one = vec![(0.0, q.clone())];
     let dict = fed.catalog.dict.clone();
-    run_qt_sim_with_faults(
-        BUYER,
-        dict,
-        q,
-        seller_engines(fed, cfg),
-        cfg,
-        topology,
-        faults,
-    )
+    let serve = ServeConfig::default();
+    let mut out =
+        run_qt_serve_with_faults(BUYER, dict, one, sellers, cfg, &serve, topology, faults);
+    let report = out.reports.pop().expect("one arrival, one report");
+    (report, out)
 }
 
 /// One serving run on the simulator: fresh sellers, `BUYER` buying.
@@ -103,6 +104,7 @@ fn serve_on_sim(
         seller_engines(fed, cfg),
         cfg,
         serve,
+        Topology::Uniform(NetLink::wan()),
         faults,
     )
 }
@@ -689,11 +691,11 @@ pub fn e14() -> Table {
         ("two-tier, single region", two_tier(16)),
     ];
     for (label, topo) in topologies {
-        let (out, _) = trade_on_sim(&fed, &q, &cfg, topo, None);
-        let plan = out.plan.expect("plan");
+        let (r, out) = trade_on_sim(&fed, &q, seller_engines(&fed, &cfg), &cfg, topo, None);
+        let plan = r.plan.expect("plan");
         t.push(vec![
             label.into(),
-            f(out.optimization_time),
+            f(r.finished),
             out.messages.to_string(),
             f(plan.est.additive_cost),
         ]);
@@ -708,7 +710,6 @@ pub fn e14() -> Table {
 /// substantial outages; the sweep reports how often a plan exists and what
 /// it costs as more of the market goes dark.
 pub fn e15() -> Table {
-    use qt_core::run_qt_sim;
     let mut t = Table::new(
         "E15",
         "market availability: fraction of sellers offline vs. plan success/cost; repl 3",
@@ -732,17 +733,15 @@ pub fn e15() -> Table {
         for engine in sellers.values_mut().rev().take(offline as usize) {
             engine.offline_rounds = (0..16).collect();
         }
-        let (out, metrics) = run_qt_sim(BUYER, fed.catalog.dict.clone(), &q, sellers, &cfg);
+        let wan = Topology::Uniform(NetLink::wan());
+        let (r, out) = trade_on_sim(&fed, &q, sellers, &cfg, wan, None);
         t.push(vec![
             offline.to_string(),
-            out.plan.is_some().to_string(),
+            r.plan.is_some().to_string(),
             // No plan at any price: the cost of an uncovered query is +inf.
-            f(out
-                .plan
-                .map(|p| p.est.additive_cost)
-                .unwrap_or(f64::INFINITY)),
-            f(out.optimization_time),
-            metrics.kind_count("timeout").to_string(),
+            f(r.plan.map(|p| p.est.additive_cost).unwrap_or(f64::INFINITY)),
+            f(r.finished),
+            out.metrics.kind_count("timeout").to_string(),
         ]);
     }
     t
@@ -952,18 +951,14 @@ pub fn e18() -> Table {
             seller_timeout: 2.0,
             ..QtConfig::default()
         };
-        let (out, metrics) = trade_on_sim(
-            &fed,
-            &q,
-            &cfg,
-            Topology::Uniform(NetLink::wan()),
-            Some(plan),
-        );
-        t.gate(out.plan.is_some(), || {
+        let wan = Topology::Uniform(NetLink::wan());
+        let sellers = seller_engines(&fed, &cfg);
+        let (r, out) = trade_on_sim(&fed, &q, sellers, &cfg, wan, Some(plan));
+        t.gate(r.plan.is_some(), || {
             format!("{label}: replication 3 must cover every fault mix")
         });
         match label.as_str() {
-            "loss 0%" => t.gate(metrics.dropped == 0 && out.degraded_rounds == 0, || {
+            "loss 0%" => t.gate(out.metrics.dropped == 0 && out.degraded_rounds == 0, || {
                 "loss 0% must drop nothing and never degrade".into()
             }),
             "loss 10%" => t.gate(out.retries + out.timeouts > 0, || {
@@ -976,10 +971,10 @@ pub fn e18() -> Table {
         }
         t.push(vec![
             label,
-            out.plan.is_some().to_string(),
-            f(out.plan.map(|p| p.est.additive_cost).unwrap_or(f64::NAN)),
+            r.plan.is_some().to_string(),
+            f(r.plan.map(|p| p.est.additive_cost).unwrap_or(f64::NAN)),
             out.messages.to_string(),
-            metrics.dropped.to_string(),
+            out.metrics.dropped.to_string(),
             out.retries.to_string(),
             out.timeouts.to_string(),
             out.degraded_rounds.to_string(),
@@ -1090,15 +1085,15 @@ pub fn e20() -> Table {
         let clean: Vec<_> = (0..QUERIES)
             .map(|i| {
                 let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, i % 2 == 0, i);
-                let (out, _) =
-                    trade_on_sim(&fed, &q, &cfg, Topology::Uniform(NetLink::wan()), None);
-                let plan = out.plan.as_ref().expect("fault-free plan");
+                let wan = Topology::Uniform(NetLink::wan());
+                let (r, _) = trade_on_sim(&fed, &q, seller_engines(&fed, &cfg), &cfg, wan, None);
+                let plan = r.plan.as_ref().expect("fault-free plan");
                 let winner = plan
                     .purchases
                     .iter()
                     .map(|p| p.offer.seller)
                     .find(|&s| s != BUYER);
-                (q, winner, out.optimization_time, plan.est.additive_cost)
+                (q, winner, r.finished, plan.est.additive_cost)
             })
             .collect();
         for placement in ["bidding", "post-award"] {
@@ -1118,15 +1113,17 @@ pub fn e20() -> Table {
                         };
                         FaultPlan::default().with_crash(w, t0, 1e12)
                     });
-                    let (out, m) =
-                        trade_on_sim(&fed, q, &cfg, Topology::Uniform(NetLink::wan()), faults);
-                    if let Some(plan) = &out.plan {
+                    let wan = Topology::Uniform(NetLink::wan());
+                    let sellers = seller_engines(&fed, &cfg);
+                    let (r, out) = trade_on_sim(&fed, q, sellers, &cfg, wan, faults);
+                    if let Some(plan) = &r.plan {
                         completed += 1;
                         inflation += plan.est.additive_cost / clean_cost;
                     }
-                    reawards += out.reawards;
-                    rescoped += out.rescoped_trades;
-                    losses += m.lease_expiries + m.lost_awards;
+                    let c = out.contracts;
+                    reawards += c.reawards;
+                    rescoped += c.rescoped_trades;
+                    losses += c.lease_expiries + c.lost_awards;
                 }
                 let cell = format!("{nodes} sellers, {placement}, crash prob {prob}");
                 t.gate(completed == QUERIES, || {

@@ -3,7 +3,9 @@
 
 use crate::{Args, Demo};
 use qt_catalog::{Catalog, NodeId};
-use qt_core::{run_qt_direct, run_qt_sim_with_faults, QtConfig, SellerEngine};
+use qt_core::{
+    run_qt_direct, run_qt_serve_with_faults, QtConfig, SellerEngine, ServeConfig, ServeOutcome,
+};
 use qt_cost::NetLink;
 use qt_exec::DataStore;
 use qt_net::{FaultPlan, Topology};
@@ -462,23 +464,28 @@ impl Session {
                 })
                 .collect()
         };
+        // One arrival at t = 0: the session's finish time is the trade's
+        // optimization time.
         let run = |faults: Option<FaultPlan>| {
-            run_qt_sim_with_faults(
+            run_qt_serve_with_faults(
                 self.buyer,
                 self.catalog.dict.clone(),
-                &query,
+                vec![(0.0, query.clone())],
                 sellers(&cfg),
                 &cfg,
+                &ServeConfig::default(),
                 Topology::Uniform(NetLink::wan()),
                 faults,
             )
         };
-        let dump = |s: &mut String, out: &qt_core::QtOutcome| {
-            for c in &out.contracts {
+        let dump = |s: &mut String, out: &ServeOutcome| {
+            for c in &out.reports[0].contracts {
+                // Contract ids carry the session in their high word; the
+                // demo's one session numbers its contracts from zero.
                 let _ = writeln!(
                     s,
                     "  c{:<4} slot {:<2} -> {} offer {:<4} [{}]{}",
-                    c.id,
+                    c.id & u64::from(u32::MAX),
                     c.slot,
                     c.seller,
                     c.offer,
@@ -486,15 +493,16 @@ impl Session {
                     if c.replacement { " (replacement)" } else { "" }
                 );
             }
+            let c = &out.contracts;
             let _ = writeln!(
                 s,
                 "  awarded {} | repaired {} | reawards {} | rescoped trades {}",
-                out.contracts_awarded, out.contracts_repaired, out.reawards, out.rescoped_trades
+                c.contracts_awarded, c.contracts_repaired, c.reawards, c.rescoped_trades
             );
         };
-        let (clean, _) = run(None);
+        let clean = run(None);
         let mut s = String::new();
-        let Some(plan) = &clean.plan else {
+        let Some(plan) = &clean.reports[0].plan else {
             return "no plan: the federation does not cover this query".into();
         };
         let _ = writeln!(s, "fault-free contracts:");
@@ -508,23 +516,20 @@ impl Session {
             let _ = write!(s, "plan is buyer-local: no remote winner to crash");
             return s.trim_end().to_string();
         };
+        let t_fin = clean.reports[0].finished;
         let _ = writeln!(
             s,
-            "crashing winner {winner} at t={:.3}s (post-award) ...",
-            clean.optimization_time
+            "crashing winner {winner} at t={t_fin:.3}s (post-award) ..."
         );
-        let (repaired, m) = run(Some(FaultPlan::default().with_crash(
-            winner,
-            clean.optimization_time + 1e-6,
-            1e12,
-        )));
+        let crash = FaultPlan::default().with_crash(winner, t_fin + 1e-6, 1e12);
+        let repaired = run(Some(crash));
         let _ = writeln!(
             s,
             "detected: {} lost award(s), {} lease expiry(ies)",
-            m.lost_awards, m.lease_expiries
+            repaired.contracts.lost_awards, repaired.contracts.lease_expiries
         );
         dump(&mut s, &repaired);
-        match &repaired.plan {
+        match &repaired.reports[0].plan {
             Some(p) => {
                 let survivors: Vec<String> = p
                     .purchases
@@ -892,34 +897,28 @@ impl Session {
                 )
             })
             .collect();
-        let (out, fault_metrics) = if self.fault_loss > 0.0 {
-            let (out, metrics) = run_qt_sim_with_faults(
+        let mut s = String::new();
+        let trading = |s: &mut String, iterations: u32, messages: u64, time: f64| {
+            let _ = writeln!(
+                s,
+                "trading: {iterations} iteration(s), {messages} messages, {time:.3}s simulated"
+            );
+        };
+        let plan = if self.fault_loss > 0.0 {
+            // One arrival at t = 0 on the lossy simulator: the session's
+            // finish time is the optimization time.
+            let mut out = run_qt_serve_with_faults(
                 self.buyer,
                 self.catalog.dict.clone(),
-                &query,
+                vec![(0.0, query.clone())],
                 sellers,
                 &self.config,
+                &ServeConfig::default(),
                 Topology::Uniform(NetLink::wan()),
                 Some(FaultPlan::lossy(self.fault_seed, self.fault_loss)),
             );
-            (out, Some(metrics))
-        } else {
-            let out = run_qt_direct(
-                self.buyer,
-                self.catalog.dict.clone(),
-                &query,
-                &mut sellers,
-                &self.config,
-            );
-            (out, None)
-        };
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "trading: {} iteration(s), {} messages, {:.3}s simulated",
-            out.iterations, out.messages, out.optimization_time
-        );
-        if let Some(m) = &fault_metrics {
+            let report = out.reports.pop().expect("one arrival, one report");
+            trading(&mut s, report.iterations, out.messages, report.finished);
             let unreachable = if out.unreachable_sellers.is_empty() {
                 "none".to_string()
             } else {
@@ -932,10 +931,21 @@ impl Session {
             let _ = writeln!(
                 s,
                 "faults:  {} dropped, {} retries, {} timeouts, {} degraded round(s), unreachable: {unreachable}",
-                m.dropped, out.retries, out.timeouts, out.degraded_rounds
+                out.metrics.dropped, out.retries, out.timeouts, out.degraded_rounds
             );
-        }
-        let Some(plan) = out.plan else {
+            report.plan
+        } else {
+            let out = run_qt_direct(
+                self.buyer,
+                self.catalog.dict.clone(),
+                &query,
+                &mut sellers,
+                &self.config,
+            );
+            trading(&mut s, out.iterations, out.messages, out.optimization_time);
+            out.plan
+        };
+        let Some(plan) = plan else {
             let _ = write!(s, "no plan: the federation does not cover this query");
             return s.trim_end().to_string();
         };

@@ -108,7 +108,7 @@ pub enum ContractAction {
 }
 
 /// Lifecycle counters, accumulated by the controller and surfaced through
-/// `QtOutcome` / `qt_net::Metrics`.
+/// [`ServeOutcome::contracts`](crate::ServeOutcome::contracts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContractStats {
     /// Contracts created (initial awards, re-awards, and re-trade awards).
@@ -146,8 +146,9 @@ impl ContractStats {
     }
 }
 
-/// One contract's final (or current) standing, for `QtOutcome.contracts`
-/// and the `qtsh \contracts` dump.
+/// One contract's final (or current) standing, for
+/// [`SessionReport::contracts`](crate::SessionReport::contracts) and the
+/// `qtsh \contracts` dump.
 #[derive(Debug, Clone)]
 pub struct ContractReport {
     /// Contract id.
@@ -684,12 +685,6 @@ impl ContractController {
                 replacement: c.replacement,
             })
             .collect()
-    }
-
-    /// Seller of a live contract, if any (used by drivers to label
-    /// messages).
-    pub fn contract_seller(&self, contract: u64) -> Option<NodeId> {
-        self.contracts.get(&contract).map(|c| c.seller)
     }
 }
 

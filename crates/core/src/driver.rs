@@ -1,29 +1,25 @@
-//! Single-query drivers. [`run_qt_direct`] runs the trading loop in-process
-//! (synchronous, analytic time) and is the oracle the networked runs are
-//! checked against. [`run_qt_sim`], [`run_qt_sim_with_faults`] and
-//! [`run_qt_real`] put the same query on a network: each is a serving run
-//! (see [`session`](crate::session)) with one arrival at t = 0 and
-//! concurrency 1, folded into a [`QtOutcome`]. All of them produce the same
-//! plans and message counts; the simulator additionally yields realistic
-//! timing under node/link contention.
+//! The in-process driver. [`run_qt_direct`] runs the trading loop
+//! synchronously with analytic time and message accounting; it is the
+//! oracle the networked runs are checked against. A networked single-query
+//! trade is a serving run with one arrival at t = 0 (see
+//! [`session`](crate::session)); it produces the same plan and message
+//! count, and the simulator additionally yields realistic timing under
+//! node/link contention.
 
 use crate::buyer::{remote_awards, winner_set, BuyerEngine, IterationStats, RoundOutcome};
 use crate::config::{
     QtConfig, OFFER_MSG_BYTES, PER_OFFER_SECONDS, PER_SUBPLAN_SECONDS, QUERY_MSG_BYTES,
 };
-use crate::contract::ContractReport;
 use crate::dist_plan::DistributedPlan;
 use crate::offer::Offer;
 use crate::seller::SellerEngine;
-use crate::session::{run_qt_serve_real, serve_on_sim, ServeConfig, ServeOutcome};
 use qt_catalog::{NodeId, SchemaDict};
 use qt_cost::NetLink;
-use qt_net::{FaultPlan, Topology};
 use qt_query::Query;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The result of one QT optimization run.
+/// The result of one [`run_qt_direct`] run.
 #[derive(Debug)]
 pub struct QtOutcome {
     /// The final plan (None = optimization failed / no coverage).
@@ -34,7 +30,7 @@ pub struct QtOutcome {
     pub messages: u64,
     /// Protocol bytes exchanged.
     pub bytes: f64,
-    /// Optimization time in simulated seconds.
+    /// Optimization time in analytic seconds.
     pub optimization_time: f64,
     /// Total seller optimization effort: the sub-plans the model enumerates
     /// for each RFB item, summed over items and sellers. A seller runs its
@@ -48,28 +44,9 @@ pub struct QtOutcome {
     pub offer_cache_hits: u64,
     /// RFB items sellers had to evaluate fresh during this run.
     pub offer_cache_misses: u64,
-    /// RFB retransmissions sent after a response deadline expired
-    /// (networked runs; always 0 for the direct driver's perfect network).
-    pub retries: u64,
-    /// Response deadlines that fired while a round was still open.
-    pub timeouts: u64,
-    /// Rounds closed without offers from every live seller.
-    pub degraded_rounds: u32,
-    /// Sellers that never answered their last RFB (even after retries) and
-    /// were traded around. A seller that answers a later round is removed.
-    pub unreachable_sellers: Vec<NodeId>,
-    /// Contracts created over the run's lifecycle phase (0 with
-    /// `enable_contracts` off).
+    /// Contracts awarded: one per purchase of the plan with
+    /// `enable_contracts` on, 0 with it off.
     pub contracts_awarded: u64,
-    /// Distinct plan slots whose replacement contract completed after a
-    /// winner loss.
-    pub contracts_repaired: u64,
-    /// Re-awards to runner-up offers from the persisted bid book.
-    pub reawards: u64,
-    /// Scoped re-trade rounds run to repair slots the book could not cover.
-    pub rescoped_trades: u64,
-    /// Per-contract final standing (empty with `enable_contracts` off).
-    pub contracts: Vec<ContractReport>,
     /// Per-iteration statistics.
     pub history: Vec<IterationStats>,
 }
@@ -222,130 +199,8 @@ pub fn run_qt_direct(
         offer_cache_hits: sellers.values().map(|s| s.cache_hits).sum::<u64>() - cache_hits_before,
         offer_cache_misses: sellers.values().map(|s| s.cache_misses).sum::<u64>()
             - cache_misses_before,
-        retries: 0,
-        timeouts: 0,
-        degraded_rounds: 0,
-        unreachable_sellers: Vec::new(),
         contracts_awarded,
-        contracts_repaired: 0,
-        reawards: 0,
-        rescoped_trades: 0,
-        contracts: Vec::new(),
         history: buyer.history.clone(),
         plan: buyer.best,
     }
-}
-
-/// Run QT on the discrete-event simulator over a uniform WAN topology
-/// ([`NetLink::wan`]). Returns the outcome and the simulator metrics
-/// (virtual end time, per-kind message counts).
-pub fn run_qt_sim(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    query: &Query,
-    sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-) -> (QtOutcome, qt_net::Metrics) {
-    let topology = Topology::Uniform(NetLink::wan());
-    run_qt_sim_with_faults(buyer_node, dict, query, sellers, config, topology, None)
-}
-
-/// Run QT on the discrete-event simulator over an arbitrary [`Topology`]
-/// (e.g. [`Topology::TwoTier`] regional offices) with an optional
-/// [`FaultPlan`] injecting message loss, duplication, jitter, partitions,
-/// and crash windows; `None` (or an inert plan) injects nothing. Sellers
-/// still *estimate* delivery over a WAN link — autonomous nodes do not
-/// know where the buyer sits — while actual message transport follows the
-/// topology. Under faults the buyer retransmits unanswered RFBs with capped
-/// exponential backoff and, after two retransmissions, degrades the
-/// round to the offers that arrived; the returned metrics carry
-/// drop/retry/timeout/degraded counters.
-pub fn run_qt_sim_with_faults(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    query: &Query,
-    sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-    topology: Topology,
-    faults: Option<FaultPlan>,
-) -> (QtOutcome, qt_net::Metrics) {
-    single_session(serve_on_sim(
-        buyer_node,
-        dict,
-        vec![(0.0, query.clone())],
-        sellers,
-        config,
-        &ServeConfig::default(),
-        topology,
-        faults,
-    ))
-}
-
-/// Run QT on the real thread-per-node transport (`qt_net::real`): buyer and
-/// sellers execute on actual OS threads, connected by bounded channels or
-/// loopback TCP per `real`. The protocol handlers are the exact ones the
-/// simulator runs, so plans, cost bits, and offer ids are bit-identical to
-/// [`run_qt_sim`] under the same configuration (the conformance suite
-/// asserts this). The returned outcome's `optimization_time` is **wall
-/// clock**, not virtual time — never compare it against simulator numbers.
-pub fn run_qt_real(
-    buyer_node: NodeId,
-    dict: Arc<SchemaDict>,
-    query: &Query,
-    sellers: BTreeMap<NodeId, SellerEngine>,
-    config: &QtConfig,
-    real: qt_net::RealConfig,
-) -> (QtOutcome, qt_net::Metrics) {
-    single_session(run_qt_serve_real(
-        buyer_node,
-        dict,
-        vec![(0.0, query.clone())],
-        sellers,
-        config,
-        &ServeConfig::default(),
-        real,
-    ))
-}
-
-/// Fold a one-session serving run (arrival at t = 0, so the session's finish
-/// time *is* the optimization time) into the single-query outcome.
-fn single_session(out: ServeOutcome) -> (QtOutcome, qt_net::Metrics) {
-    let ServeOutcome {
-        mut reports,
-        metrics,
-        messages,
-        seller_effort,
-        contracts: stats,
-        unreachable_sellers,
-        ..
-    } = out;
-    let report = reports.pop().expect("one arrival, one report");
-    let mut contracts = report.contracts;
-    for c in &mut contracts {
-        // Serve-path contract ids carry the session in their high word; a
-        // single-query outcome numbers its contracts from zero.
-        c.id &= u64::from(u32::MAX);
-    }
-    let outcome = QtOutcome {
-        plan: report.plan,
-        iterations: report.iterations,
-        messages,
-        bytes: metrics.bytes,
-        optimization_time: report.finished,
-        seller_effort,
-        buyer_considered: report.history.iter().map(|h| h.considered).sum(),
-        offer_cache_hits: metrics.offer_cache_hits,
-        offer_cache_misses: metrics.offer_cache_misses,
-        retries: metrics.retries,
-        timeouts: metrics.timeouts,
-        degraded_rounds: metrics.degraded_rounds as u32,
-        unreachable_sellers,
-        contracts_awarded: stats.contracts_awarded,
-        contracts_repaired: stats.contracts_repaired,
-        reawards: stats.reawards,
-        rescoped_trades: stats.rescoped_trades,
-        contracts,
-        history: report.history,
-    };
-    (outcome, metrics)
 }

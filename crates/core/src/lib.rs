@@ -18,19 +18,24 @@
 //! | B7/B8: convergence check, best plan | [`BuyerEngine::close_round`] |
 //! | scale-out: broker tier, admission control, regional failover | [`BrokerNode`] over [`discovery`] |
 //!
-//! The engines are transport-independent, and exactly two loops drive them.
-//! [`driver::run_qt_direct`] is the in-process oracle: a synchronous loop
-//! with analytic message accounting — fast, used for plan-quality
-//! experiments and tests. [`session::SessionManager`] is the one networked
-//! buyer: `qt-net` handlers that run unchanged on the discrete-event
-//! simulator (virtual time — optimization-time and message-count
-//! experiments) and on `qt_net::real` (thread-per-node on real cores,
-//! in-process channels, or TCP with the [`qt_catalog::wire`] codec and the
-//! message layouts declared in [`wire`]). A single-query trade
-//! ([`run_qt_sim`], [`run_qt_real`]) is a serving run with one session at
-//! concurrency 1. Direct and networked runs produce identical plans and
-//! message counts by construction; `tests/single_session_golden.rs` and the
-//! conformance suite in `tests/real_transport.rs` assert it bit-for-bit.
+//! The engines are transport-independent, and exactly two loops drive them
+//! through five runners. [`run_qt_direct`] is the in-process oracle: a
+//! synchronous loop with analytic message accounting — fast, used for
+//! plan-quality experiments and tests. [`session::SessionManager`] is the
+//! one networked buyer: `qt-net` handlers that run unchanged on the
+//! discrete-event simulator ([`run_qt_serve`], [`run_qt_serve_with_faults`];
+//! virtual time — optimization-time and message-count experiments) and on
+//! `qt_net::real` ([`run_qt_serve_real`], [`run_qt_serve_real_with_faults`];
+//! thread-per-node on real cores, in-process channels, or TCP with the
+//! [`qt_catalog::wire`] codec and the message layouts declared in [`wire`]).
+//! A single-query trade is a serving run with one arrival at t = 0, read off
+//! its [`SessionReport`] and the run's [`ServeOutcome`]. Each counter lives
+//! where it is counted: transport traffic in `qt_net::Metrics`, buyer
+//! retries, timeouts and degraded rounds, offer-cache traffic and the
+//! contract lifecycle's [`ContractStats`] in [`ServeOutcome`]. Direct and
+//! networked runs produce identical plans and message counts by
+//! construction; `tests/single_session_golden.rs` and the conformance suite
+//! in `tests/real_transport.rs` assert it bit-for-bit.
 
 pub mod analyser;
 pub mod broker;
@@ -59,7 +64,7 @@ pub use contract::{
 };
 pub use discovery::{prune_offers, query_digest, seller_digest, BrokerSpec, BrokerTree, SellerAd};
 pub use dist_plan::{DistributedPlan, PlanEstimate, Purchase};
-pub use driver::{run_qt_direct, run_qt_real, run_qt_sim, run_qt_sim_with_faults, QtOutcome};
+pub use driver::{run_qt_direct, QtOutcome};
 pub use offer::{Offer, OfferKind, RfbItem};
 pub use relset::RelSet;
 pub use seller::{session_req, SellerEngine, SessionRfb};

@@ -14,12 +14,9 @@
 
 use proptest::prelude::*;
 use qt_catalog::NodeId;
-use qt_core::{
-    run_qt_serve_with_faults, run_qt_sim_with_faults, QtConfig, QtOutcome, SellerEngine,
-    ServeConfig,
-};
+use qt_core::{run_qt_serve_with_faults, QtConfig, SellerEngine, ServeConfig, ServeOutcome};
 use qt_cost::NetLink;
-use qt_net::{FaultPlan, Metrics, Topology};
+use qt_net::{FaultPlan, Topology};
 use qt_query::Query;
 use qt_workload::{build_federation, gen_join_query, Federation, FederationSpec, QueryShape};
 use std::collections::BTreeMap;
@@ -53,52 +50,51 @@ fn engines(fed: &Federation, cfg: &QtConfig) -> BTreeMap<NodeId, SellerEngine> {
         .collect()
 }
 
-fn run(
-    fed: &Federation,
-    q: &Query,
-    cfg: &QtConfig,
-    faults: Option<FaultPlan>,
-) -> (QtOutcome, Metrics) {
-    run_qt_sim_with_faults(
+/// Trade `q` alone: one arrival at t = 0, so its report's `finished` time is
+/// the optimization time.
+fn run(fed: &Federation, q: &Query, cfg: &QtConfig, faults: Option<FaultPlan>) -> ServeOutcome {
+    run_qt_serve_with_faults(
         NodeId(0),
         fed.catalog.dict.clone(),
-        q,
+        vec![(0.0, q.clone())],
         engines(fed, cfg),
         cfg,
+        &ServeConfig::default(),
         Topology::Uniform(NetLink::wan()),
         faults,
     )
 }
 
 /// Everything the inert lifecycle must not perturb.
-fn trading_digest(out: &QtOutcome) -> (String, u64, u64, u32, u64) {
-    let offer_ids: Vec<u64> = out
+fn trading_digest(out: &ServeOutcome) -> (String, u64, u64, u32, u64) {
+    let r = &out.reports[0];
+    let offer_ids: Vec<u64> = r
         .plan
         .iter()
         .flat_map(|p| p.purchases.iter().map(|pu| pu.offer.id))
         .collect();
     (
-        format!("{:?}", out.plan),
-        out.plan
+        format!("{:?}", r.plan),
+        r.plan
             .as_ref()
             .map(|p| p.est.additive_cost.to_bits())
             .unwrap_or(0),
-        out.optimization_time.to_bits(),
-        out.iterations,
+        r.finished.to_bits(),
+        r.iterations,
         offer_ids.iter().fold(0u64, |h, id| h ^ id.rotate_left(17)),
     )
 }
 
 /// The full repair outcome, for bit-identity across schedules.
-fn repair_digest(out: &QtOutcome) -> (String, u64, u64, u64, u64, u64) {
+fn repair_digest(out: &ServeOutcome) -> (String, u64, u64, u64, u64, u64) {
+    let (plan, c) = (&out.reports[0].plan, &out.contracts);
     (
-        format!("{:?}", out.plan),
-        out.contracts_awarded,
-        out.contracts_repaired,
-        out.reawards,
-        out.rescoped_trades,
-        out.plan
-            .as_ref()
+        format!("{plan:?}"),
+        c.contracts_awarded,
+        c.contracts_repaired,
+        c.reawards,
+        c.rescoped_trades,
+        plan.as_ref()
             .map(|p| p.est.additive_cost.to_bits())
             .unwrap_or(0),
     )
@@ -119,9 +115,11 @@ fn inert_lifecycle_is_bit_identical_in_everything_it_must_not_touch() {
             QueryShape::Star
         };
         let q = gen_join_query(&fed.catalog.dict, shape, 3, qseed % 2 == 0, 31 + qseed);
-        let (base, base_m) = run(&fed, &q, &off, None);
-        let (life, life_m) = run(&fed, &q, &on, None);
-        assert!(base.plan.is_some());
+        let base = run(&fed, &q, &off, None);
+        let life = run(&fed, &q, &on, None);
+        let (base_m, life_m) = (&base.metrics, &life.metrics);
+        let life_plan = life.reports[0].plan.as_ref();
+        assert!(base.reports[0].plan.is_some());
         assert_eq!(trading_digest(&base), trading_digest(&life));
         // Same award fan-out; the lifecycle adds exactly one ack and one
         // release per award, plus heartbeats that are not data messages.
@@ -135,13 +133,16 @@ fn inert_lifecycle_is_bit_identical_in_everything_it_must_not_touch() {
         assert_eq!(base_m.lease_events, 0);
         // Every contract settles cleanly fault-free.
         assert_eq!(
-            life.contracts_awarded,
-            life.plan.as_ref().unwrap().purchases.len() as u64
+            life.contracts.contracts_awarded,
+            life_plan.unwrap().purchases.len() as u64
         );
-        assert_eq!(life.contracts_repaired, 0);
-        assert_eq!(life.reawards, 0);
-        assert_eq!(life.rescoped_trades, 0);
-        assert!(life.contracts.iter().all(|c| c.state == "completed"));
+        assert_eq!(life.contracts.contracts_repaired, 0);
+        assert_eq!(life.contracts.reawards, 0);
+        assert_eq!(life.contracts.rescoped_trades, 0);
+        assert!(life.reports[0]
+            .contracts
+            .iter()
+            .all(|c| c.state == "completed"));
     }
 }
 
@@ -157,19 +158,20 @@ fn post_award_winner_crash_repairs_deterministically() {
         ..QtConfig::default()
     };
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 17);
-    let (clean, _) = run(&fed, &q, &cfg, None);
-    let plan = clean.plan.as_ref().expect("fault-free plan");
+    let clean = run(&fed, &q, &cfg, None);
+    let plan = clean.reports[0].plan.as_ref().expect("fault-free plan");
     let winner = plan
         .purchases
         .iter()
         .map(|p| p.offer.seller)
         .find(|&s| s != NodeId(0))
         .expect("a remote winner to crash");
-    let t0 = clean.optimization_time;
+    let t0 = clean.reports[0].finished;
     let crash = move |extra: FaultPlan| extra.with_crash(winner, t0 + 1e-6, 1e12);
 
-    let (repaired, m) = run(&fed, &q, &cfg, Some(crash(FaultPlan::default())));
-    let rplan = repaired
+    let repaired = run(&fed, &q, &cfg, Some(crash(FaultPlan::default())));
+    let (stats, report) = (&repaired.contracts, &repaired.reports[0]);
+    let rplan = report
         .plan
         .as_ref()
         .expect("replication 3 must cover the crashed winner");
@@ -180,19 +182,19 @@ fn post_award_winner_crash_repairs_deterministically() {
         );
     }
     // The failover is visible and accounted for.
-    assert!(m.lost_awards + m.lease_expiries >= 1);
-    assert!(repaired.reawards + repaired.rescoped_trades >= 1);
-    assert!(repaired.contracts_repaired >= 1);
+    assert!(stats.lost_awards + stats.lease_expiries >= 1);
+    assert!(stats.reawards + stats.rescoped_trades >= 1);
+    assert!(stats.contracts_repaired >= 1);
     assert!(
-        repaired
+        report
             .contracts
             .iter()
             .any(|c| c.replacement && c.state == "completed"),
         "{:?}",
-        repaired.contracts
+        report.contracts
     );
     // Every expired/declined contract has a terminal state.
-    for c in &repaired.contracts {
+    for c in &report.contracts {
         assert!(
             matches!(c.state, "completed" | "expired" | "declined" | "abandoned"),
             "non-terminal contract at drain: {c:?}"
@@ -204,12 +206,12 @@ fn post_award_winner_crash_repairs_deterministically() {
         parallel: false,
         ..cfg.clone()
     };
-    let (repaired_serial, _) = run(&fed, &q, &serial, Some(crash(FaultPlan::default())));
+    let repaired_serial = run(&fed, &q, &serial, Some(crash(FaultPlan::default())));
     assert_eq!(repair_digest(&repaired), repair_digest(&repaired_serial));
     // …and across perturbed delivery schedules: heavy duplication re-delivers
     // every award ack, lease ack, and re-trade reply in a different
     // interleaving, and the lifecycle's dedup must absorb all of it.
-    let (repaired_dup, _) = run(
+    let repaired_dup = run(
         &fed,
         &q,
         &cfg,
@@ -217,7 +219,7 @@ fn post_award_winner_crash_repairs_deterministically() {
     );
     assert_eq!(repair_digest(&repaired), repair_digest(&repaired_dup));
     // And the whole thing is reproducible bit-for-bit.
-    let (again, _) = run(&fed, &q, &cfg, Some(crash(FaultPlan::default())));
+    let again = run(&fed, &q, &cfg, Some(crash(FaultPlan::default())));
     assert_eq!(repair_digest(&repaired), repair_digest(&again));
 }
 
@@ -242,31 +244,31 @@ fn fault_seeded_crash_repair_is_deterministic_across_thread_counts() {
     let loss = || FaultPlan::lossy(fault_seed, 0.05).with_duplicates(0.05);
     // Reference run under the same loss pattern, no crash: its winner and
     // finish time tell us where "post-award" is for this seed.
-    let (reference, _) = run(&fed, &q, &cfg, Some(loss()));
+    let reference = &run(&fed, &q, &cfg, Some(loss())).reports[0];
     let Some((winner, t_fin)) = reference.plan.as_ref().and_then(|p| {
         p.purchases
             .iter()
             .map(|pu| pu.offer.seller)
             .find(|&s| s != NodeId(0))
-            .map(|w| (w, reference.optimization_time))
+            .map(|w| (w, reference.finished))
     }) else {
         return; // all-local plan under this seed: nothing to crash
     };
     let faults = || loss().with_crash(winner, t_fin + 1e-6, 1e12);
     let digest = |cfg: &QtConfig| {
-        let (out, m) = run(&fed, &q, cfg, Some(faults()));
-        if let Some(p) = &out.plan {
+        let out = run(&fed, &q, cfg, Some(faults()));
+        if let Some(p) = &out.reports[0].plan {
             for pu in &p.purchases {
                 assert_ne!(pu.offer.seller, winner, "plan references the crashed node");
             }
         }
         (
             repair_digest(&out),
-            out.optimization_time.to_bits(),
-            m.dropped,
-            m.duplicated,
-            m.awards_sent,
-            m.award_retries,
+            out.reports[0].finished.to_bits(),
+            out.metrics.dropped,
+            out.metrics.duplicated,
+            out.contracts.awards_sent,
+            out.contracts.award_retries,
         )
     };
     let serial = digest(&QtConfig {
@@ -291,7 +293,7 @@ proptest! {
             ..QtConfig::default()
         };
         let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, seed % 2 == 0, seed);
-        let (clean, _) = run(&fed, &q, &cfg, None);
+        let clean = &run(&fed, &q, &cfg, None).reports[0];
         let plan = clean.plan.as_ref().expect("fault-free plan");
         let Some(winner) = plan
             .purchases
@@ -301,18 +303,22 @@ proptest! {
         else {
             return; // all-local plan: nothing to crash
         };
-        let crash = FaultPlan::default().with_crash(winner, clean.optimization_time + 1e-6, 1e12);
-        let (a, _) = run(&fed, &q, &cfg, Some(crash.clone()));
-        if let Some(p) = &a.plan {
+        let crash = FaultPlan::default().with_crash(winner, clean.finished + 1e-6, 1e12);
+        let a = run(&fed, &q, &cfg, Some(crash.clone()));
+        if let Some(p) = &a.reports[0].plan {
             for pu in &p.purchases {
                 assert_ne!(pu.offer.seller, winner);
             }
         }
         let serial = QtConfig { parallel: false, ..cfg.clone() };
-        let (b, _) = run(&fed, &q, &serial, Some(crash));
+        let b = run(&fed, &q, &serial, Some(crash));
         assert_eq!(repair_digest(&a), repair_digest(&b));
         // Losing the winner is always accounted for, one way or the other.
-        assert!(a.reawards + a.rescoped_trades + a.contracts_repaired >= 1 || a.plan.is_none());
+        let c = &a.contracts;
+        assert!(
+            c.reawards + c.rescoped_trades + c.contracts_repaired >= 1
+                || a.reports[0].plan.is_none()
+        );
     }
 }
 
@@ -339,6 +345,7 @@ fn serve_mid_session_winner_crash_degrades_only_that_session() {
         engines(&fed, &cfg),
         &cfg,
         &serve,
+        Topology::Uniform(NetLink::wan()),
         None,
     );
     assert_eq!(baseline.reports.len(), 5);
@@ -365,6 +372,7 @@ fn serve_mid_session_winner_crash_degrades_only_that_session() {
         engines(&fed, &cfg),
         &cfg,
         &serve,
+        Topology::Uniform(NetLink::wan()),
         Some(FaultPlan::default().with_crash(winner, t_fin + 1e-6, t_fin + 400.0)),
     );
     assert_eq!(faulted.reports.len(), 5, "every session still completes");

@@ -27,7 +27,8 @@ use qt_core::{
     query_digest, run_qt_serve, run_qt_serve_with_faults, seller_digest, BrokerTree,
     HierarchyConfig, QtConfig, SellerEngine, ServeConfig, ServeOutcome,
 };
-use qt_net::FaultPlan;
+use qt_cost::NetLink;
+use qt_net::{FaultPlan, Topology};
 use qt_query::{Query, SharedQuery};
 use qt_workload::{
     build_federation, gen_arrivals, gen_join_query, synthetic_mix, ArrivalSpec, Federation,
@@ -109,6 +110,7 @@ fn trade(
             hierarchy,
             ..ServeConfig::default()
         },
+        Topology::Uniform(NetLink::wan()),
         faults,
     )
 }
@@ -494,6 +496,7 @@ fn churn_with_replicated_contracts_keeps_completion_high() {
             hierarchy: Some(hier(4)),
             ..ServeConfig::default()
         },
+        Topology::Uniform(NetLink::wan()),
         Some(faults),
     );
     let done = out.reports.iter().filter(|r| r.plan.is_some()).count();
@@ -531,6 +534,7 @@ fn late_advertisement_joins_a_boot_crashed_seller() {
             }),
             ..ServeConfig::default()
         },
+        Topology::Uniform(NetLink::wan()),
         Some(faults),
     );
     let done = out.reports.iter().filter(|r| r.plan.is_some()).count();

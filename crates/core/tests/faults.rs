@@ -3,9 +3,10 @@
 //! with an inert plan — be bit-identical to the fault-free driver.
 
 use qt_catalog::NodeId;
-use qt_core::{run_qt_sim_with_faults, QtConfig, SellerEngine};
+use qt_core::{run_qt_serve_with_faults, QtConfig, SellerEngine, ServeConfig, ServeOutcome};
 use qt_cost::NetLink;
-use qt_net::{FaultPlan, Metrics, Topology};
+use qt_net::{FaultPlan, Topology};
+use qt_query::Query;
 use qt_workload::{build_federation, gen_join_query, Federation, FederationSpec, QueryShape};
 use std::collections::BTreeMap;
 
@@ -38,20 +39,36 @@ fn engines(fed: &Federation, cfg: &QtConfig) -> BTreeMap<NodeId, SellerEngine> {
         .collect()
 }
 
+/// Trade `q` alone on the simulator: one arrival at t = 0, so its report's
+/// `finished` time is the optimization time.
+fn run(fed: &Federation, q: &Query, cfg: &QtConfig, faults: Option<FaultPlan>) -> ServeOutcome {
+    run_qt_serve_with_faults(
+        NodeId(0),
+        fed.catalog.dict.clone(),
+        vec![(0.0, q.clone())],
+        engines(fed, cfg),
+        cfg,
+        &ServeConfig::default(),
+        Topology::Uniform(NetLink::wan()),
+        faults,
+    )
+}
+
 /// A compact, comparable digest of one simulated run.
-fn digest(out: &qt_core::QtOutcome, m: &Metrics) -> (String, u64, u64, u64, u64, u64, u64, u64) {
+fn digest(out: &ServeOutcome) -> (String, u64, u64, u64, u64, u64, u64, u64) {
+    let r = &out.reports[0];
     (
-        format!("{:?}", out.plan),
-        out.plan
+        format!("{:?}", r.plan),
+        r.plan
             .as_ref()
             .map(|p| p.est.additive_cost.to_bits())
             .unwrap_or(0),
         out.messages,
-        out.optimization_time.to_bits(),
-        m.dropped,
-        m.duplicated,
-        m.retries,
-        m.timeouts,
+        r.finished.to_bits(),
+        out.metrics.dropped,
+        out.metrics.duplicated,
+        out.retries,
+        out.timeouts,
     )
 }
 
@@ -62,32 +79,13 @@ fn inert_fault_plane_is_bit_identical_to_no_plan() {
     let fed = build_federation(&spec(8, 21));
     let cfg = QtConfig::default();
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 21);
-    let baseline = run_qt_sim_with_faults(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-        Topology::Uniform(NetLink::wan()),
-        None,
-    );
-    let with_inert = run_qt_sim_with_faults(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-        Topology::Uniform(NetLink::wan()),
-        Some(FaultPlan::lossy(99, 0.0)),
-    );
-    assert!(baseline.0.plan.is_some());
-    assert_eq!(
-        digest(&baseline.0, &baseline.1),
-        digest(&with_inert.0, &with_inert.1)
-    );
-    assert_eq!(with_inert.0.retries, 0);
-    assert_eq!(with_inert.0.degraded_rounds, 0);
-    assert!(with_inert.0.unreachable_sellers.is_empty());
+    let baseline = run(&fed, &q, &cfg, None);
+    let with_inert = run(&fed, &q, &cfg, Some(FaultPlan::lossy(99, 0.0)));
+    assert!(baseline.reports[0].plan.is_some());
+    assert_eq!(digest(&baseline), digest(&with_inert));
+    assert_eq!(with_inert.retries, 0);
+    assert_eq!(with_inert.degraded_rounds, 0);
+    assert!(with_inert.unreachable_sellers.is_empty());
 }
 
 #[test]
@@ -100,22 +98,15 @@ fn lossy_network_still_yields_a_valid_plan() {
         ..QtConfig::default()
     };
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 21);
-    let (out, metrics) = run_qt_sim_with_faults(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-        Topology::Uniform(NetLink::wan()),
-        Some(FaultPlan::lossy(7, 0.15)),
-    );
-    let plan = out.plan.expect("trading must survive 15% loss");
+    let out = run(&fed, &q, &cfg, Some(FaultPlan::lossy(7, 0.15)));
+    let plan = out.reports[0]
+        .plan
+        .as_ref()
+        .expect("trading must survive 15% loss");
     assert!(plan.est.additive_cost.is_finite());
+    let metrics = &out.metrics;
     assert!(metrics.dropped > 0, "15% loss must drop something");
     assert_eq!(metrics.dropped_by_cause.get("loss"), Some(&metrics.dropped));
-    // The driver surfaces its robustness counters in both places.
-    assert_eq!(metrics.retries, out.retries);
-    assert_eq!(metrics.timeouts, out.timeouts);
     assert!(
         out.timeouts > 0,
         "lost replies must trip the response deadline"
@@ -131,35 +122,27 @@ fn duplicated_deliveries_are_idempotent() {
     let fed = build_federation(&spec(8, 21));
     let cfg = QtConfig::default();
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 21);
-    let clean = run_qt_sim_with_faults(
-        NodeId(0),
-        fed.catalog.dict.clone(),
+    let clean = run(&fed, &q, &cfg, None);
+    let dup = run(
+        &fed,
         &q,
-        engines(&fed, &cfg),
         &cfg,
-        Topology::Uniform(NetLink::wan()),
-        None,
-    );
-    let dup = run_qt_sim_with_faults(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-        Topology::Uniform(NetLink::wan()),
         Some(FaultPlan::default().with_duplicates(1.0)),
     );
-    assert!(dup.1.duplicated > 0);
+    assert!(dup.metrics.duplicated > 0);
+    let (clean, dup) = (&clean.reports[0], &dup.reports[0]);
     assert_eq!(
-        format!("{:?}", clean.0.plan),
-        format!("{:?}", dup.0.plan),
+        format!("{:?}", clean.plan),
+        format!("{:?}", dup.plan),
         "duplicates must not change the winning plan"
     );
     assert_eq!(
-        clean.0.iterations, dup.0.iterations,
+        clean.iterations, dup.iterations,
         "duplicates must not add trading rounds"
     );
-    assert_eq!(clean.0.buyer_considered, dup.0.buyer_considered);
+    let considered =
+        |r: &qt_core::SessionReport| -> u64 { r.history.iter().map(|h| h.considered).sum() };
+    assert_eq!(considered(clean), considered(dup));
 }
 
 #[test]
@@ -170,28 +153,21 @@ fn crashed_seller_degrades_the_round_and_is_reported() {
         ..QtConfig::default()
     };
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 21);
-    let (out, metrics) = run_qt_sim_with_faults(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-        Topology::Uniform(NetLink::wan()),
-        // Node 3 is down for the whole run.
-        Some(FaultPlan::default().with_crash(NodeId(3), 0.0, 1e12)),
-    );
+    // Node 3 is down for the whole run.
+    let down = FaultPlan::default().with_crash(NodeId(3), 0.0, 1e12);
+    let out = run(&fed, &q, &cfg, Some(down));
     assert!(
         out.unreachable_sellers.contains(&NodeId(3)),
         "{:?}",
         out.unreachable_sellers
     );
     assert!(out.degraded_rounds >= 1);
-    assert_eq!(metrics.degraded_rounds, out.degraded_rounds as u64);
-    assert!(metrics.dropped_by_cause.get("crash").copied().unwrap_or(0) > 0);
+    let crashed = out.metrics.dropped_by_cause.get("crash").copied();
+    assert!(crashed.unwrap_or(0) > 0);
     // Replication 2: every fragment lives somewhere else too, so trading
     // still finds a (possibly degraded) plan.
     assert!(
-        out.plan.is_some(),
+        out.reports[0].plan.is_some(),
         "replication must cover the crashed node"
     );
 }
@@ -204,23 +180,14 @@ fn same_fault_seed_is_bit_reproducible() {
         ..QtConfig::default()
     };
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Star, 3, false, 5);
-    let run = || {
-        let (out, m) = run_qt_sim_with_faults(
-            NodeId(0),
-            fed.catalog.dict.clone(),
-            &q,
-            engines(&fed, &cfg),
-            &cfg,
-            Topology::Uniform(NetLink::wan()),
-            Some(
-                FaultPlan::lossy(13, 0.2)
-                    .with_duplicates(0.1)
-                    .with_jitter(0.5),
-            ),
-        );
-        digest(&out, &m)
+    let faults = || {
+        FaultPlan::lossy(13, 0.2)
+            .with_duplicates(0.1)
+            .with_jitter(0.5)
     };
-    assert_eq!(run(), run());
+    let a = run(&fed, &q, &cfg, Some(faults()));
+    let b = run(&fed, &q, &cfg, Some(faults()));
+    assert_eq!(digest(&a), digest(&b));
 }
 
 #[test]
@@ -233,18 +200,11 @@ fn different_fault_seeds_usually_differ() {
         ..QtConfig::default()
     };
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Star, 3, false, 5);
-    let run = |seed: u64| {
-        let (out, m) = run_qt_sim_with_faults(
-            NodeId(0),
-            fed.catalog.dict.clone(),
-            &q,
-            engines(&fed, &cfg),
-            &cfg,
-            Topology::Uniform(NetLink::wan()),
-            Some(FaultPlan::lossy(seed, 0.2)),
-        );
-        (m.dropped, m.retries, out.optimization_time.to_bits())
+    let outcome = |seed: u64| {
+        let out = run(&fed, &q, &cfg, Some(FaultPlan::lossy(seed, 0.2)));
+        let finished = out.reports[0].finished.to_bits();
+        (out.metrics.dropped, out.retries, finished)
     };
-    let outcomes: std::collections::BTreeSet<_> = (0..4).map(run).collect();
+    let outcomes: std::collections::BTreeSet<_> = (0..4).map(outcome).collect();
     assert!(outcomes.len() > 1, "fault seeds appear to be ignored");
 }

@@ -16,7 +16,7 @@
 
 use qt_catalog::NodeId;
 use qt_core::{
-    run_qt_direct, run_qt_real, run_qt_serve, run_qt_serve_real, run_qt_sim, QtConfig, QtOutcome,
+    run_qt_direct, run_qt_serve, run_qt_serve_real, DistributedPlan, QtConfig, QtOutcome,
     SellerEngine, ServeConfig, ServeOutcome,
 };
 use qt_net::{RealConfig, RealTransport};
@@ -70,27 +70,75 @@ fn tcp() -> RealConfig {
     }
 }
 
-/// Everything the transport must not perturb.
-fn digest(out: &QtOutcome) -> (String, Vec<u64>, Option<u64>, u32, u64, u64) {
-    let offer_ids: Vec<u64> = out
-        .plan
+/// Everything the transport must not perturb: the plan, its offer ids and
+/// cost bits, iterations, seller effort and offers considered.
+type Digest = (String, Vec<u64>, Option<u64>, u32, u64, u64);
+
+fn digest(plan: &Option<DistributedPlan>, iterations: u32, effort: u64, considered: u64) -> Digest {
+    let offer_ids: Vec<u64> = plan
         .iter()
         .flat_map(|p| p.purchases.iter().map(|pu| pu.offer.id))
         .collect();
-    let cost_bits = out.plan.as_ref().map(|p| p.est.additive_cost.to_bits());
+    let cost_bits = plan.as_ref().map(|p| p.est.additive_cost.to_bits());
     (
-        format!("{:?}", out.plan),
+        format!("{plan:?}"),
         offer_ids,
         cost_bits,
+        iterations,
+        effort,
+        considered,
+    )
+}
+
+fn direct_digest(out: &QtOutcome) -> Digest {
+    digest(
+        &out.plan,
         out.iterations,
         out.seller_effort,
         out.buyer_considered,
     )
 }
 
-fn assert_conforms(sim: &QtOutcome, real: &QtOutcome, ctx: &str) {
-    assert_eq!(digest(sim), digest(real), "real transport diverged ({ctx})");
-    assert!(real.plan.is_some(), "no plan produced ({ctx})");
+/// The digest of a one-arrival serving run.
+fn served_digest(out: &ServeOutcome) -> Digest {
+    let r = &out.reports[0];
+    let considered = r.history.iter().map(|h| h.considered).sum();
+    digest(&r.plan, r.iterations, out.seller_effort, considered)
+}
+
+fn assert_conforms(sim: &Digest, real: &ServeOutcome, ctx: &str) {
+    assert_eq!(sim, &served_digest(real), "real transport diverged ({ctx})");
+    assert!(real.reports[0].plan.is_some(), "no plan produced ({ctx})");
+}
+
+/// `q` alone, arriving at t = 0, on the simulator.
+fn sim_one(fed: &Federation, q: &Query, cfg: &QtConfig) -> ServeOutcome {
+    let one = vec![(0.0, q.clone())];
+    let sellers = engines(fed, cfg);
+    run_qt_serve(
+        NodeId(0),
+        fed.catalog.dict.clone(),
+        one,
+        sellers,
+        cfg,
+        &ServeConfig::default(),
+    )
+}
+
+/// `q` alone, arriving at t = 0, on the real transport.
+fn real_one(fed: &Federation, q: &Query, cfg: &QtConfig, real: RealConfig) -> ServeOutcome {
+    let one = vec![(0.0, q.clone())];
+    let sellers = engines(fed, cfg);
+    let serve = ServeConfig::default();
+    run_qt_serve_real(
+        NodeId(0),
+        fed.catalog.dict.clone(),
+        one,
+        sellers,
+        cfg,
+        &serve,
+        real,
+    )
 }
 
 /// Per-session observables must be bit-identical between the simulated and
@@ -134,23 +182,10 @@ fn threads_runtime_matches_sim_and_direct_across_seeds() {
         let cfg = QtConfig::default();
         let fed = build_federation(&spec(8, seed));
         let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, seed % 2 == 0, seed);
-        let (sim_out, _) = run_qt_sim(
-            NodeId(0),
-            fed.catalog.dict.clone(),
-            &q,
-            engines(&fed, &cfg),
-            &cfg,
-        );
-        let (real_out, metrics) = run_qt_real(
-            NodeId(0),
-            fed.catalog.dict.clone(),
-            &q,
-            engines(&fed, &cfg),
-            &cfg,
-            threads(),
-        );
+        let sim_out = served_digest(&sim_one(&fed, &q, &cfg));
+        let real_out = real_one(&fed, &q, &cfg, threads());
         assert_conforms(&sim_out, &real_out, &format!("threads, seed {seed}"));
-        assert!(metrics.wire_bytes > 0, "codec bytes not counted");
+        assert!(real_out.metrics.wire_bytes > 0, "codec bytes not counted");
         // The analytic direct driver is the third leg of the oracle.
         let direct_out = run_qt_direct(
             NodeId(0),
@@ -159,7 +194,11 @@ fn threads_runtime_matches_sim_and_direct_across_seeds() {
             &mut engines(&fed, &cfg),
             &cfg,
         );
-        assert_conforms(&direct_out, &real_out, &format!("direct, seed {seed}"));
+        assert_conforms(
+            &direct_digest(&direct_out),
+            &real_out,
+            &format!("direct, seed {seed}"),
+        );
     }
 }
 
@@ -169,24 +208,11 @@ fn tcp_runtime_matches_sim_across_seeds() {
         let cfg = QtConfig::default();
         let fed = build_federation(&spec(8, seed));
         let q = gen_join_query(&fed.catalog.dict, QueryShape::Star, 3, seed % 2 == 0, seed);
-        let (sim_out, _) = run_qt_sim(
-            NodeId(0),
-            fed.catalog.dict.clone(),
-            &q,
-            engines(&fed, &cfg),
-            &cfg,
-        );
-        let (real_out, metrics) = run_qt_real(
-            NodeId(0),
-            fed.catalog.dict.clone(),
-            &q,
-            engines(&fed, &cfg),
-            &cfg,
-            tcp(),
-        );
+        let sim_out = served_digest(&sim_one(&fed, &q, &cfg));
+        let real_out = real_one(&fed, &q, &cfg, tcp());
         assert_conforms(&sim_out, &real_out, &format!("tcp, seed {seed}"));
         // On the socket path every frame is actually encoded and decoded.
-        assert!(metrics.wire_bytes > 0, "codec bytes not counted");
+        assert!(real_out.metrics.wire_bytes > 0, "codec bytes not counted");
     }
 }
 
@@ -198,24 +224,12 @@ fn contract_lifecycle_settles_identically_on_real_transport() {
     };
     let fed = build_federation(&spec(8, 7));
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 7);
-    let (sim_out, _) = run_qt_sim(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-    );
-    let (real_out, _) = run_qt_real(
-        NodeId(0),
-        fed.catalog.dict.clone(),
-        &q,
-        engines(&fed, &cfg),
-        &cfg,
-        threads(),
-    );
-    assert_conforms(&sim_out, &real_out, "contracts on");
-    assert_eq!(sim_out.contracts_awarded, real_out.contracts_awarded);
-    assert_eq!(sim_out.reawards, real_out.reawards);
+    let sim_out = sim_one(&fed, &q, &cfg);
+    let real_out = real_one(&fed, &q, &cfg, threads());
+    assert_conforms(&served_digest(&sim_out), &real_out, "contracts on");
+    let (sim_c, real_c) = (sim_out.contracts, real_out.contracts);
+    assert_eq!(sim_c.contracts_awarded, real_c.contracts_awarded);
+    assert_eq!(sim_c.reawards, real_c.reawards);
 }
 
 fn burst_arrivals(fed: &Federation, n: usize, seed: u64) -> Vec<(f64, Query)> {

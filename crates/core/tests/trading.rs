@@ -1,15 +1,18 @@
-//! End-to-end tests of the QT trading loop: optimize with `run_qt_direct` /
-//! `run_qt_sim`, execute the resulting distributed plans on per-node data
+//! End-to-end tests of the QT trading loop: optimize with `run_qt_direct` or
+//! a one-arrival `run_qt_serve_with_faults` run, execute the resulting distributed plans on per-node data
 //! stores, and compare against the reference evaluator.
 
 use qt_catalog::{
     AttrType, Catalog, CatalogBuilder, NodeId, PartId, PartitionStats, Partitioning, RelId,
     RelationSchema, Value,
 };
-use qt_core::{run_qt_direct, run_qt_sim, QtConfig, SellerEngine};
+use qt_core::{
+    run_qt_direct, run_qt_serve_with_faults, QtConfig, SellerEngine, ServeConfig, ServeOutcome,
+};
 use qt_exec::reference::approx_same_rows;
 use qt_exec::{evaluate_query, DataStore};
-use qt_query::{parse_query, MaterializedView};
+use qt_net::Topology;
+use qt_query::{parse_query, MaterializedView, Query};
 use std::collections::BTreeMap;
 
 /// The paper's telecom scenario with materialized data.
@@ -154,6 +157,33 @@ fn engines(cat: &Catalog, cfg: &QtConfig) -> BTreeMap<NodeId, SellerEngine> {
         .collect()
 }
 
+/// Trade `q` alone on the simulator: one arrival at t = 0, so its report's
+/// `finished` time is the optimization time.
+fn sim_one(
+    cat: &Catalog,
+    q: &Query,
+    sellers: BTreeMap<NodeId, SellerEngine>,
+    cfg: &QtConfig,
+    topology: Topology,
+) -> ServeOutcome {
+    let one = vec![(0.0, q.clone())];
+    let serve = ServeConfig::default();
+    run_qt_serve_with_faults(
+        NodeId(0),
+        cat.dict.clone(),
+        one,
+        sellers,
+        cfg,
+        &serve,
+        topology,
+        None,
+    )
+}
+
+fn wan() -> Topology {
+    Topology::Uniform(qt_cost::NetLink::wan())
+}
+
 fn union_store(stores: &BTreeMap<NodeId, DataStore>) -> DataStore {
     let mut all = DataStore::new();
     for s in stores.values() {
@@ -259,15 +289,16 @@ fn sim_and_direct_agree_on_plan_and_messages() {
     let mut direct_sellers = engines(&cat, &cfg);
     let direct = run_qt_direct(NodeId(0), cat.dict.clone(), &q, &mut direct_sellers, &cfg);
     let sim_sellers = engines(&cat, &cfg);
-    let (sim, metrics) = run_qt_sim(NodeId(0), cat.dict.clone(), &q, sim_sellers, &cfg);
+    let sim = sim_one(&cat, &q, sim_sellers, &cfg, wan());
+    let report = &sim.reports[0];
 
     let dp = direct.plan.expect("direct plan");
-    let sp = sim.plan.expect("sim plan");
+    let sp = report.plan.as_ref().expect("sim plan");
     assert!((dp.est.additive_cost - sp.est.additive_cost).abs() < 1e-9);
     assert_eq!(dp.purchases.len(), sp.purchases.len());
-    assert_eq!(direct.messages, sim.messages, "metrics: {metrics:?}");
-    assert_eq!(direct.iterations, sim.iterations);
-    assert!(sim.optimization_time > 0.0);
+    assert_eq!(direct.messages, sim.messages, "metrics: {:?}", sim.metrics);
+    assert_eq!(direct.iterations, report.iterations);
+    assert!(report.finished > 0.0);
 }
 
 #[test]
@@ -658,15 +689,19 @@ fn offline_sellers_are_survived_by_timeout() {
             engine.offline_rounds = (0..16).collect();
         }
     }
-    let (out, metrics) =
-        qt_core::run_qt_sim(NodeId(0), cat.dict.clone(), &q_myconos, sellers, &cfg);
+    let out = sim_one(&cat, &q_myconos, sellers, &cfg, wan());
+    let metrics = &out.metrics;
     assert!(metrics.kind_count("timeout") >= 1, "{metrics:?}");
-    let plan = out.plan.expect("Myconos data unaffected by Corfu's outage");
+    let report = &out.reports[0];
+    let plan = report
+        .plan
+        .as_ref()
+        .expect("Myconos data unaffected by Corfu's outage");
     let got = plan.execute_on(&cat.dict, &stores).unwrap();
     let want = evaluate_query(&q_myconos, &union_store(&stores)).unwrap();
     assert!(approx_same_rows(&got, &want, 1e-9));
     // The timeout is on the critical path of the optimization time.
-    assert!(out.optimization_time >= 2.0, "{}", out.optimization_time);
+    assert!(report.finished >= 2.0, "{}", report.finished);
 }
 
 #[test]
@@ -685,8 +720,8 @@ fn sole_holder_offline_means_no_plan() {
     };
     let mut sellers = engines(&cat, &cfg);
     sellers.get_mut(&NodeId(1)).unwrap().offline_rounds = (0..16).collect();
-    let (out, _) = qt_core::run_qt_sim(NodeId(0), cat.dict.clone(), &q, sellers, &cfg);
-    assert!(out.plan.is_none());
+    let out = sim_one(&cat, &q, sellers, &cfg, wan());
+    assert!(out.reports[0].plan.is_none());
 }
 
 #[test]
@@ -706,8 +741,8 @@ fn straggler_offers_still_enrich_later_rounds() {
     };
     let mut sellers = engines(&cat, &cfg);
     sellers.get_mut(&NodeId(1)).unwrap().offline_rounds = [0u32].into_iter().collect();
-    let (out, _) = qt_core::run_qt_sim(NodeId(0), cat.dict.clone(), &q, sellers, &cfg);
-    if let Some(plan) = out.plan {
+    let out = sim_one(&cat, &q, sellers, &cfg, wan());
+    if let Some(plan) = &out.reports[0].plan {
         let got = plan.execute_on(&cat.dict, &stores).unwrap();
         let want = evaluate_query(&q, &union_store(&stores)).unwrap();
         assert!(approx_same_rows(&got, &want, 1e-9));
@@ -774,8 +809,6 @@ fn replanning_from_the_offer_pool_survives_seller_failure() {
 
 #[test]
 fn two_tier_topology_speeds_up_local_markets() {
-    use qt_core::run_qt_sim_with_faults;
-    use qt_net::Topology;
     let (cat, _) = telecom();
     let q = parse_query(
         &cat.dict,
@@ -784,39 +817,17 @@ fn two_tier_topology_speeds_up_local_markets() {
     )
     .unwrap();
     let cfg = QtConfig::default();
-    let wan = {
-        let sellers = engines(&cat, &cfg);
-        run_qt_sim_with_faults(
-            NodeId(0),
-            cat.dict.clone(),
-            &q,
-            sellers,
-            &cfg,
-            Topology::Uniform(qt_cost::NetLink::wan()),
-            None,
-        )
-        .0
-    };
-    let lan = {
-        let sellers = engines(&cat, &cfg);
-        run_qt_sim_with_faults(
-            NodeId(0),
-            cat.dict.clone(),
-            &q,
-            sellers,
-            &cfg,
-            // Everyone in one 64-node region.
-            Topology::two_tier(64, qt_cost::NetLink::lan(), qt_cost::NetLink::wan()).unwrap(),
-            None,
-        )
-        .0
-    };
-    assert!(lan.optimization_time < wan.optimization_time);
+    let wan = sim_one(&cat, &q, engines(&cat, &cfg), &cfg, wan());
+    // Everyone in one 64-node region.
+    let region = Topology::two_tier(64, qt_cost::NetLink::lan(), qt_cost::NetLink::wan()).unwrap();
+    let lan = sim_one(&cat, &q, engines(&cat, &cfg), &cfg, region);
+    let (lan_r, wan_r) = (&lan.reports[0], &wan.reports[0]);
+    assert!(lan_r.finished < wan_r.finished);
     assert_eq!(
         lan.messages, wan.messages,
         "topology changes time, not traffic"
     );
-    let (a, b) = (lan.plan.unwrap(), wan.plan.unwrap());
+    let (a, b) = (lan_r.plan.as_ref().unwrap(), wan_r.plan.as_ref().unwrap());
     assert!((a.est.additive_cost - b.est.additive_cost).abs() < 1e-9);
 }
 

@@ -28,39 +28,10 @@ pub struct Metrics {
     pub dropped_by_cause: BTreeMap<&'static str, u64>,
     /// Messages delivered twice by fault-injected duplication.
     pub duplicated: u64,
-    /// RFB retransmissions the buyer sent after a response deadline expired
-    /// (filled by the QT driver after the run).
-    pub retries: u64,
-    /// Response deadlines that fired with sellers still unheard-from
-    /// (filled by the QT driver after the run).
-    pub timeouts: u64,
-    /// Trading rounds the buyer closed without hearing from every seller
-    /// (filled by the QT driver after the run).
-    pub degraded_rounds: u64,
-    /// Seller offer-cache hits across all nodes (RFB items answered from the
-    /// memoized reply instead of re-running the local DP).
-    pub offer_cache_hits: u64,
-    /// Seller offer-cache misses across all nodes.
-    pub offer_cache_misses: u64,
     /// Lease heartbeats and their acknowledgments delivered
     /// (`Ctx::send_lease`) — control-plane chatter excluded from
     /// `messages`/`bytes`, mirroring the `timer_events` split.
     pub lease_events: u64,
-    /// Award messages sent (initial awards, retransmissions, and re-awards;
-    /// filled by the QT driver after the run).
-    pub awards_sent: u64,
-    /// Award retransmissions after an unanswered ack deadline (filled by the
-    /// QT driver after the run).
-    pub award_retries: u64,
-    /// Awards whose ack never arrived within the retry budget (filled by the
-    /// QT driver after the run).
-    pub lost_awards: u64,
-    /// Execution leases that expired after consecutive missed renewals
-    /// (filled by the QT driver after the run).
-    pub lease_expiries: u64,
-    /// Contracts re-awarded to a runner-up offer from the bid book (filled
-    /// by the QT driver after the run).
-    pub reawards: u64,
     /// Actual encoded frame bytes put on the wire by the real transport
     /// (send side, including frame headers). Zero under the simulator, whose
     /// `bytes` are hand-estimated message sizes — the
@@ -120,17 +91,7 @@ impl Metrics {
             *self.dropped_by_cause.entry(k).or_insert(0) += v;
         }
         self.duplicated += other.duplicated;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.degraded_rounds += other.degraded_rounds;
-        self.offer_cache_hits += other.offer_cache_hits;
-        self.offer_cache_misses += other.offer_cache_misses;
         self.lease_events += other.lease_events;
-        self.awards_sent += other.awards_sent;
-        self.award_retries += other.award_retries;
-        self.lost_awards += other.lost_awards;
-        self.lease_expiries += other.lease_expiries;
-        self.reawards += other.reawards;
         self.wire_bytes += other.wire_bytes;
         self.send_backpressure += other.send_backpressure;
     }

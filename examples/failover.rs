@@ -8,7 +8,7 @@
 
 use qt_catalog::{NodeId, RelId};
 use qt_core::buyer::RoundOutcome;
-use qt_core::{run_qt_sim, BuyerEngine, QtConfig, SellerEngine};
+use qt_core::{run_qt_serve, BuyerEngine, QtConfig, SellerEngine, ServeConfig};
 use qt_exec::evaluate_query;
 use qt_exec::reference::approx_same_rows;
 use qt_query::{parse_query, PartSet};
@@ -47,15 +47,21 @@ fn main() {
         .map(|&n| (n, SellerEngine::new(catalog.holdings_of(n), cfg.clone())))
         .collect();
     sellers.get_mut(&NodeId(1)).unwrap().offline_rounds = (0..8).collect();
-    let (out, metrics) = run_qt_sim(NodeId(7), dict.clone(), &query, sellers, &cfg);
-    let plan = out
+    // One query arriving at t = 0: the session's finish time is its trading
+    // time.
+    let one = vec![(0.0, query.clone())];
+    let serve = ServeConfig::default();
+    let out = run_qt_serve(NodeId(7), dict.clone(), one, sellers, &cfg, &serve);
+    let report = &out.reports[0];
+    let plan = report
         .plan
+        .as_ref()
         .expect("Athens' invoiceline replica covers for Corfu");
     println!(
         "  plan found anyway: {} purchases, {:.2}s trading time ({} timeout timer(s) fired)\n",
         plan.purchases.len(),
-        out.optimization_time,
-        metrics.kind_count("timeout"),
+        report.finished,
+        out.metrics.kind_count("timeout"),
     );
 
     // --- Act 2: a winning seller dies after trading ----------------------

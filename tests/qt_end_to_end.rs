@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use qt_bench::runners::seller_engines;
 use qt_catalog::NodeId;
-use qt_core::{run_qt_direct, run_qt_sim, QtConfig};
+use qt_core::{run_qt_direct, run_qt_serve, QtConfig, ServeConfig};
 use qt_exec::evaluate_query;
 use qt_exec::reference::approx_same_rows;
 use qt_workload::{build_federation, gen_join_query_with_cut, FederationSpec, QueryShape};
@@ -86,10 +86,12 @@ proptest! {
         let direct =
             run_qt_direct(NodeId(0), fed.catalog.dict.clone(), &q, &mut direct_sellers, &cfg);
         let sim_sellers = seller_engines(&fed, &cfg);
-        let (sim, _) = run_qt_sim(NodeId(0), fed.catalog.dict.clone(), &q, sim_sellers, &cfg);
+        let one = vec![(0.0, q.clone())];
+        let serve = ServeConfig::default();
+        let sim = run_qt_serve(NodeId(0), fed.catalog.dict.clone(), one, sim_sellers, &cfg, &serve);
         prop_assert_eq!(direct.messages, sim.messages);
-        prop_assert_eq!(direct.iterations, sim.iterations);
-        match (&direct.plan, &sim.plan) {
+        prop_assert_eq!(direct.iterations, sim.reports[0].iterations);
+        match (&direct.plan, &sim.reports[0].plan) {
             (Some(a), Some(b)) => {
                 prop_assert!((a.est.additive_cost - b.est.additive_cost).abs() < 1e-9);
                 prop_assert_eq!(a.purchases.len(), b.purchases.len());
