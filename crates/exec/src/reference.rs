@@ -2,24 +2,37 @@
 //!
 //! Every optimizer in the workspace is tested by executing its physical plan
 //! and comparing against this evaluator, which computes the answer the
-//! obvious way: materialize extents, cross-product, filter, group, project.
-//! Deliberately simple — its only virtue is being obviously correct.
+//! obvious way: bind the relations in query order by nested loops, filter,
+//! group, project. Deliberately simple — its only virtue is being obviously
+//! correct. The one concession to size is that each predicate filters as
+//! soon as all its columns are bound, so an intermediate result never holds
+//! a combination an applied predicate rejects; the survivors keep their
+//! nested-loop order.
 
 use crate::error::ExecError;
 use crate::exec::RowSource;
 use crate::{Row, Table};
 use qt_catalog::{PartId, Value};
-use qt_query::{AggFunc, Col, Operand, Query, SelectItem};
+use qt_query::{AggFunc, Col, CompOp, Operand, Predicate, Query, SelectItem};
 use std::collections::HashMap;
+
+/// The right side of a predicate whose columns are bound.
+enum Side<'q> {
+    /// A column, by its position in the bound rows.
+    Col(usize),
+    /// A constant.
+    Const(&'q Value),
+}
 
 /// Evaluate `query` against `source`. The output column order is the query's
 /// `SELECT` order; rows are sorted by `ORDER BY` if present, otherwise in an
 /// unspecified (but deterministic) order.
 pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, ExecError> {
-    // 1. Materialize each relation's requested extent.
     let mut schema: Vec<Col> = Vec::new();
     let mut rows: Table = vec![vec![]];
+    let mut unbound: Vec<&Predicate> = query.predicates.iter().collect();
     for (&rel, parts) in &query.relations {
+        // 1. Materialize the relation's requested extent.
         let mut extent: Table = Vec::new();
         let mut arity = 0;
         for idx in parts.iter() {
@@ -43,17 +56,45 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
                 .max()
                 .unwrap_or(1);
         }
-        // 2. Cross product with the accumulated rows.
-        let mut next: Table = Vec::with_capacity(rows.len() * extent.len().max(1));
+        schema.extend((0..arity).map(|a| Col::new(rel, a)));
+
+        // 2. The predicates whose columns are all bound from here on.
+        let at = |c: Col| schema.iter().position(|s| *s == c);
+        let mut bound: Vec<(CompOp, usize, Side)> = Vec::new();
+        unbound.retain(|p| {
+            let right = match &p.right {
+                Operand::Const(v) => Some(Side::Const(v)),
+                Operand::Col(c) => at(*c).map(Side::Col),
+            };
+            match (at(p.left), right) {
+                (Some(l), Some(r)) => {
+                    bound.push((p.op, l, r));
+                    false
+                }
+                _ => true,
+            }
+        });
+
+        // 3. Nested loop with the accumulated rows, filtered by them.
+        let mut next: Table = Vec::new();
         for base in &rows {
             for ext in &extent {
-                let mut row = base.clone();
-                row.extend(ext.iter().cloned());
-                next.push(row);
+                let cell = |i: usize| base.get(i).unwrap_or_else(|| &ext[i - base.len()]);
+                let pass = bound.iter().all(|(op, l, r)| {
+                    let right = match r {
+                        Side::Col(i) => cell(*i),
+                        Side::Const(v) => v,
+                    };
+                    op.eval(cell(*l), right)
+                });
+                if pass {
+                    let mut row = base.clone();
+                    row.extend(ext.iter().cloned());
+                    next.push(row);
+                }
             }
         }
         rows = next;
-        schema.extend((0..arity).map(|a| Col::new(rel, a)));
     }
 
     let pos = |c: Col| -> Result<usize, ExecError> {
@@ -63,10 +104,11 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
             .ok_or(ExecError::UnresolvedColumn(c))
     };
 
-    // 3. Filter.
+    // 4. A predicate naming a column no relation binds is left to this
+    //    final pass, which reports it on the first row that reaches it.
     let mut filtered: Table = Vec::new();
     'rows: for row in rows {
-        for p in &query.predicates {
+        for p in &unbound {
             let l = &row[pos(p.left)?];
             let ok = match &p.right {
                 Operand::Const(v) => p.op.eval(l, v),
@@ -80,7 +122,7 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
     }
 
     if !query.is_aggregate() {
-        // 4a. Sort (on full rows) then project to the select order.
+        // 5a. Sort (on full rows) then project to the select order.
         if !query.order_by.is_empty() {
             let keys: Vec<usize> = query
                 .order_by
@@ -111,7 +153,7 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
             .collect());
     }
 
-    // 4b. Group and aggregate.
+    // 5b. Group and aggregate.
     let key_pos: Vec<usize> = query
         .group_by
         .iter()
