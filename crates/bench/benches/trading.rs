@@ -27,22 +27,14 @@ fn bench_full_trading_run(c: &mut Criterion) {
         data_skew: 0.0,
     });
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 3, true, 5);
-    let mut group = c.benchmark_group("qt_direct_16_nodes_3way");
-    for parallel in [false, true] {
-        let cfg = QtConfig {
-            parallel,
-            ..QtConfig::default()
-        };
-        group.bench_function(if parallel { "parallel" } else { "serial" }, |b| {
-            b.iter(|| {
-                let mut sellers = seller_engines(&fed, &cfg);
-                let out =
-                    run_qt_direct(NodeId(0), fed.catalog.dict.clone(), &q, &mut sellers, &cfg);
-                std::hint::black_box(out.plan.map(|p| p.est.additive_cost))
-            });
+    let cfg = QtConfig::default();
+    c.bench_function("qt_direct_16_nodes_3way", |b| {
+        b.iter(|| {
+            let mut sellers = seller_engines(&fed, &cfg);
+            let out = run_qt_direct(NodeId(0), fed.catalog.dict.clone(), &q, &mut sellers, &cfg);
+            std::hint::black_box(out.plan.map(|p| p.est.additive_cost))
         });
-    }
-    group.finish();
+    });
 }
 
 fn bench_protocols(c: &mut Criterion) {
@@ -83,10 +75,7 @@ fn bench_offer_path(c: &mut Criterion) {
         speed_spread: 1.0,
         data_skew: 0.0,
     });
-    let cfg = QtConfig {
-        parallel: false,
-        ..QtConfig::default()
-    };
+    let cfg = QtConfig::default();
     let q = gen_join_query(&fed.catalog.dict, QueryShape::Chain, 5, true, 5);
     let items = Arc::new(vec![RfbItem {
         query: q.clone(),

@@ -53,11 +53,11 @@ pub struct QtConfig {
     /// `lease_events`, not `messages`) but ride the faultable network, so a
     /// crashed or partitioned winner stops renewing.
     pub lease_interval: f64,
-    /// Fan seller offer generation out across OS threads: the direct driver
-    /// evaluates sellers concurrently and each seller evaluates its RFB items
-    /// concurrently. Deterministic — results merge in input order, so plans,
-    /// costs, and offer ids are bit-identical to a serial run. The worker
-    /// budget follows `QT_THREADS` / the host core count (see `qt-par`).
+    /// Read by nothing: sellers answer on the calling thread whatever it
+    /// says. It once fanned seller offer generation out across OS threads
+    /// (`qt-par`), which lost to the serial path; the field stays only
+    /// because the benchmark harness's struct literals name it, and goes
+    /// with the next change to that harness.
     pub parallel: bool,
     /// Let seller offer caches answer RFBs *semantically*: an exact-key miss
     /// falls back to the §3.5 view matcher over cached replies, so offers

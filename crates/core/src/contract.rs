@@ -9,8 +9,8 @@
 //! translate into simulator sends and timers. Because all decisions are
 //! made here — single-threaded, over `BTreeMap`-ordered state, with
 //! runner-ups picked by a total order over `(score, seller, offer id)` —
-//! repaired plans are bit-deterministic across `QT_THREADS`, fault seeds,
-//! and reply-arrival orders.
+//! repaired plans are bit-deterministic across fault seeds and
+//! reply-arrival orders.
 //!
 //! Failover is layered: on winner loss the slot first re-awards to the best
 //! surviving runner-up in the persisted bid book (every Pareto offer the

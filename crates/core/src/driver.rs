@@ -111,26 +111,14 @@ pub fn run_qt_direct(
     loop {
         let rfb_bytes = (items.len() + hints.len()) as f64 * QUERY_MSG_BYTES;
         let mut round_path = 0.0f64;
-        // Fan the round out: sellers evaluate concurrently (each node is an
-        // autonomous machine — this is exactly the real system's shape), then
-        // merge in ascending NodeId order. The merge order, the per-seller
-        // offer-id counters, and the per-item id stamping make the outcome
-        // bit-identical to `config.parallel = false`.
-        let round = buyer.round;
-        let workers = if config.parallel {
-            qt_par::max_threads()
-        } else {
-            1
-        };
-        let mut engines: Vec<(NodeId, &mut SellerEngine)> =
-            sellers.iter_mut().map(|(&n, e)| (n, e)).collect();
-        let responses = qt_par::par_map_mut(&mut engines, workers, |(_, engine)| {
-            engine.respond_with_hints(round, &items, &hints)
-        });
-        for ((node, _), resp) in engines.iter().zip(responses) {
+        // Sellers answer one by one in ascending NodeId order. Each node is
+        // an autonomous machine, so the round is charged as its slowest
+        // seller's path (`round_path`), not as the sum.
+        for (&node, engine) in sellers.iter_mut() {
+            let resp = engine.respond_with_hints(buyer.round, &items, &hints);
             seller_effort += resp.effort;
             let compute = resp.effort as f64 * PER_SUBPLAN_SECONDS;
-            if *node == buyer_node {
+            if node == buyer_node {
                 round_path = round_path.max(compute);
             } else {
                 let back = resp.offers.len() as f64 * OFFER_MSG_BYTES;

@@ -268,8 +268,7 @@ impl SellerEngine {
 
     /// Offers carry a placeholder round and id (0) until
     /// [`evaluate`](Self::evaluate) sets each item's round and the merge
-    /// step of a reply stamps the ids — evaluation runs on `&self` so groups
-    /// of items can be evaluated concurrently.
+    /// step of a reply stamps the ids, so evaluation runs on `&self`.
     fn make_offer(&self, query: Query, true_props: AnswerProperties, kind: OfferKind) -> Offer {
         let ask = self.strategy.ask_for(&true_props);
         Offer {
@@ -361,7 +360,7 @@ impl SellerEngine {
     /// its first reference: exact hits need no work, semantic hits derive
     /// their offers here (cheap, read-only), and the misses of *all* the
     /// requests are evaluated together — one run of the modified DP per
-    /// distinct local rewrite, and one [`qt_par`] fork/join.
+    /// distinct local rewrite.
     fn schedule<'a>(&mut self, requests: Vec<Request<'a>>) -> Scheduled<'a> {
         let mut jobs: Vec<EvalJob<'a>> = Vec::new();
         let mut seen = HashSet::new();
@@ -608,7 +607,7 @@ impl SellerEngine {
     /// Fresh replies for `jobs`, in job order, with the modified DP run once
     /// per distinct local rewrite: S2.1 rewrites every job for the local
     /// holdings, the jobs are grouped by rewrite ([`group_by_rewrite`]), and
-    /// the groups are evaluated concurrently when `config.parallel` is set.
+    /// the groups are evaluated in order.
     ///
     /// A job's reply is its group's [`local_offers`](Self::local_offers)
     /// followed by its own [`item_offers`](Self::item_offers), every offer
@@ -628,30 +627,17 @@ impl SellerEngine {
             .collect();
         let groups = group_by_rewrite(&rewrites);
         self.local_evaluations += groups.iter().filter(|g| g.local.is_some()).count() as u64;
-        let workers = if self.config.parallel {
-            qt_par::max_threads()
-        } else {
-            1
-        };
-        let this = &*self;
-        let evaluated = qt_par::par_map_ref(&groups, workers, |group| {
-            let optimizer = this.optimizer();
-            let shared = group
+        let optimizer = self.optimizer();
+        let mut out = vec![SellerResponse::default(); jobs.len()];
+        for group in &groups {
+            let mut shared = group
                 .local
                 .map_or_else(SellerResponse::default, |(_, q_local)| {
-                    this.local_offers(q_local, &optimizer)
+                    self.local_offers(q_local, &optimizer)
                 });
-            let own: Vec<SellerResponse> = group
-                .members
-                .iter()
-                .map(|&j| this.item_offers(&jobs[j], rewrites[j].as_ref(), &optimizer))
-                .collect();
-            (shared, own)
-        });
-        let mut out = vec![SellerResponse::default(); jobs.len()];
-        for (group, (mut shared, own)) in groups.iter().zip(evaluated) {
             let last = group.members.len() - 1;
-            for (i, (&j, mine)) in group.members.iter().zip(own).enumerate() {
+            for (i, &j) in group.members.iter().enumerate() {
+                let mine = self.item_offers(&jobs[j], rewrites[j].as_ref(), &optimizer);
                 // The last member takes the group's offers; the others copy.
                 let mut offers = if i == last {
                     std::mem::take(&mut shared.offers)
@@ -1648,39 +1634,34 @@ mod tests {
 
     #[test]
     fn one_rfb_equals_its_items_sent_one_by_one() {
-        for parallel in [false, true] {
-            let cfg = QtConfig {
-                parallel,
-                ..QtConfig::default()
-            };
-            let (sellers, items) = round1_market(&cfg);
-            let (twins, _) = round1_market(&cfg);
-            assert!(items.len() >= 8, "{} items", items.len());
-            let mut shared = 0;
-            for (mut seller, mut twin) in sellers.into_iter().zip(twins) {
-                let grouped = seller.respond(1, &items);
-                let mut alone = SellerResponse::default();
-                for item in &items {
-                    let r = twin.respond(1, std::slice::from_ref(item));
-                    alone.offers.extend(r.offers);
-                    alone.effort += r.effort;
-                }
-                assert_eq!(grouped.offers, alone.offers, "node {:?}", seller.node);
-                assert_eq!(grouped.effort, alone.effort, "node {:?}", seller.node);
-                assert!(grouped.offers.iter().all(|o| o.round == 1));
-                assert_eq!(seller.total_effort, twin.total_effort);
-                assert_eq!(seller.cache_misses, items.len() as u64);
-                let distinct = distinct_rewrites(&seller, &items);
-                assert_eq!(seller.local_evaluations, distinct as u64);
-                let held = items
-                    .iter()
-                    .filter(|i| rewrite_for_holdings(&i.query, &seller.holdings).is_some())
-                    .count();
-                assert_eq!(twin.local_evaluations, held as u64);
-                shared += held - distinct;
+        let cfg = QtConfig::default();
+        let (sellers, items) = round1_market(&cfg);
+        let (twins, _) = round1_market(&cfg);
+        assert!(items.len() >= 8, "{} items", items.len());
+        let mut shared = 0;
+        for (mut seller, mut twin) in sellers.into_iter().zip(twins) {
+            let grouped = seller.respond(1, &items);
+            let mut alone = SellerResponse::default();
+            for item in &items {
+                let r = twin.respond(1, std::slice::from_ref(item));
+                alone.offers.extend(r.offers);
+                alone.effort += r.effort;
             }
-            assert!(shared > 0, "some items share a rewrite");
+            assert_eq!(grouped.offers, alone.offers, "node {:?}", seller.node);
+            assert_eq!(grouped.effort, alone.effort, "node {:?}", seller.node);
+            assert!(grouped.offers.iter().all(|o| o.round == 1));
+            assert_eq!(seller.total_effort, twin.total_effort);
+            assert_eq!(seller.cache_misses, items.len() as u64);
+            let distinct = distinct_rewrites(&seller, &items);
+            assert_eq!(seller.local_evaluations, distinct as u64);
+            let held = items
+                .iter()
+                .filter(|i| rewrite_for_holdings(&i.query, &seller.holdings).is_some())
+                .count();
+            assert_eq!(twin.local_evaluations, held as u64);
+            shared += held - distinct;
         }
+        assert!(shared > 0, "some items share a rewrite");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   scheduling instant coalesce into one [`ServeMsg::Rfb`] message (one
 //!   entry per session), and the seller answers the whole batch with one
 //!   [`SellerEngine::respond_batch`] pass — the reply path every seller
-//!   call goes through, here with one request per session: one parallel
-//!   fork/join, one reply message — sharing its offer cache across
+//!   call goes through, here with one request per session: one evaluation
+//!   pass, one reply message — sharing its offer cache across
 //!   sessions while offer ids and hints stay session-isolated.
 //! * **Fan-out**: a session round is a `discovery::Gather` over the buyer's
 //!   `discovery::Region` — the round every [`BrokerNode`] runs one tier
@@ -31,9 +31,8 @@
 //!   iterated in ascending `NodeId`; and all per-session state (engines,
 //!   offer-id counters, reply memos) is keyed by session. A session's
 //!   observable results — plan, cost bits, offer ids — are therefore a pure
-//!   function of its own query, independent of what else is in flight, and
-//!   identical under any `QT_THREADS`. `crates/core/tests/serve.rs` holds
-//!   the proptest.
+//!   function of its own query, independent of what else is in flight.
+//!   `crates/core/tests/serve.rs` holds the proptest.
 
 pub use crate::broker::BrokerNode;
 use crate::buyer::{remote_awards, BuyerEngine, IterationStats, RoundOutcome};

@@ -8,7 +8,7 @@
 //!    award-ack/release traffic and zero-byte lease heartbeats.
 //! 2. Crashing the awarded winner after trading finishes triggers a repair
 //!    whose outcome (re-awarded plan, repair counters) is bit-identical
-//!    across `parallel` on/off and across delivery-order perturbations.
+//!    across replays and across delivery-order perturbations.
 //! 3. In the serving layer a mid-session winner crash degrades only that
 //!    session; every other session's report stays bit-identical.
 
@@ -148,8 +148,8 @@ fn inert_lifecycle_is_bit_identical_in_everything_it_must_not_touch() {
 
 /// Crash the fault-free winner right after trading finishes and check the
 /// repair: a valid plan referencing only live nodes, counters accounting for
-/// the failover, bit-identical across `parallel` on/off and jittered
-/// delivery orders.
+/// the failover, bit-identical across replays and perturbed delivery
+/// orders.
 #[test]
 fn post_award_winner_crash_repairs_deterministically() {
     let fed = build_federation(&spec(8, 17));
@@ -201,16 +201,10 @@ fn post_award_winner_crash_repairs_deterministically() {
         );
     }
 
-    // Bit-identical repair across compute parallelism…
-    let serial = QtConfig {
-        parallel: false,
-        ..cfg.clone()
-    };
-    let repaired_serial = run(&fed, &q, &serial, Some(crash(FaultPlan::default())));
-    assert_eq!(repair_digest(&repaired), repair_digest(&repaired_serial));
-    // …and across perturbed delivery schedules: heavy duplication re-delivers
-    // every award ack, lease ack, and re-trade reply in a different
-    // interleaving, and the lifecycle's dedup must absorb all of it.
+    // Bit-identical repair across perturbed delivery schedules: heavy
+    // duplication re-delivers every award ack, lease ack, and re-trade reply
+    // in a different interleaving, and the lifecycle's dedup must absorb all
+    // of it.
     let repaired_dup = run(
         &fed,
         &q,
@@ -223,13 +217,11 @@ fn post_award_winner_crash_repairs_deterministically() {
     assert_eq!(repair_digest(&repaired), repair_digest(&again));
 }
 
-/// CI runs this under `QT_FAULT_SEED` ∈ {7, 99} with `QT_THREADS=4`: a lossy
-/// network *plus* a post-award winner crash, and the whole run — trading,
-/// award retries, lease expiry, failover — must be bit-identical between
-/// serial and parallel seller fan-out.
+/// CI runs this under `QT_FAULT_SEED` ∈ {7, 99} and `QT_THREADS` ∈ {1, 4}:
+/// a lossy network *plus* a post-award winner crash, and the whole run —
+/// trading, award retries, lease expiry, failover — must replay bit for bit.
 #[test]
 fn fault_seeded_crash_repair_is_deterministic_across_thread_counts() {
-    std::env::set_var("QT_THREADS", "4");
     let fault_seed: u64 = std::env::var("QT_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -255,8 +247,8 @@ fn fault_seeded_crash_repair_is_deterministic_across_thread_counts() {
         return; // all-local plan under this seed: nothing to crash
     };
     let faults = || loss().with_crash(winner, t_fin + 1e-6, 1e12);
-    let digest = |cfg: &QtConfig| {
-        let out = run(&fed, &q, cfg, Some(faults()));
+    let digest = || {
+        let out = run(&fed, &q, &cfg, Some(faults()));
         if let Some(p) = &out.reports[0].plan {
             for pu in &p.purchases {
                 assert_ne!(pu.offer.seller, winner, "plan references the crashed node");
@@ -271,12 +263,7 @@ fn fault_seeded_crash_repair_is_deterministic_across_thread_counts() {
             out.contracts.award_retries,
         )
     };
-    let serial = digest(&QtConfig {
-        parallel: false,
-        ..cfg.clone()
-    });
-    let parallel = digest(&cfg);
-    assert_eq!(serial, parallel, "seed {fault_seed}");
+    assert_eq!(digest(), digest(), "seed {fault_seed}");
 }
 
 proptest! {
@@ -284,7 +271,7 @@ proptest! {
 
     /// Randomized federations/queries: crashing the fault-free winner right
     /// after trading always yields a deterministic repair that references
-    /// only live nodes, identically under serial and parallel fan-out.
+    /// only live nodes, identically on a replay.
     #[test]
     fn post_award_crash_repair_is_deterministic(seed in 0u64..200) {
         let fed = build_federation(&spec(8, seed));
@@ -310,8 +297,7 @@ proptest! {
                 assert_ne!(pu.offer.seller, winner);
             }
         }
-        let serial = QtConfig { parallel: false, ..cfg.clone() };
-        let b = run(&fed, &q, &serial, Some(crash));
+        let b = run(&fed, &q, &cfg, Some(crash));
         assert_eq!(repair_digest(&a), repair_digest(&b));
         // Losing the winner is always accounted for, one way or the other.
         let c = &a.contracts;

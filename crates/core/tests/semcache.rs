@@ -3,9 +3,8 @@
 //! Three properties under test:
 //!
 //! 1. **Determinism** — with the semantic offer cache on, trading outcomes
-//!    (plans, cost bits, offer ids) are bit-identical between serial and
-//!    parallel seller fan-out and between the sim and both real transports.
-//!    CI runs this binary under `QT_THREADS=1` and `QT_THREADS=4`.
+//!    (plans, cost bits, offer ids) are bit-identical across replays and
+//!    between the sim and both real transports.
 //! 2. **Soundness** — every semantic hit's compensated answer equals the
 //!    row-executor reference, both at the offer layer (warm-seller plans
 //!    execute to the reference rows) and at the compensation layer (a
@@ -48,9 +47,8 @@ fn union(stores: &BTreeMap<NodeId, DataStore>) -> DataStore {
     all
 }
 
-fn cfg(parallel: bool) -> QtConfig {
+fn cfg() -> QtConfig {
     QtConfig {
-        parallel,
         enable_semantic_cache: true,
         ..QtConfig::default()
     }
@@ -85,8 +83,8 @@ const AGG: &str = "SELECT office, SUM(charge) FROM customer, invoiceline \
                    WHERE customer.custid = invoiceline.custid GROUP BY office";
 
 /// Warm sellers with `warm_sql`, then trade `sql` — the second run hits the
-/// semantic offer cache. The resulting plan must be bit-identical whether
-/// the fan-out is serial or parallel, and must execute to the reference.
+/// semantic offer cache. The resulting plan must replay bit for bit over
+/// fresh sellers, and must execute to the reference.
 #[test]
 fn warm_subsumption_trades_are_deterministic_and_sound() {
     let (cat, stores) = fed();
@@ -95,8 +93,8 @@ fn warm_subsumption_trades_are_deterministic_and_sound() {
         let warm_q = parse_query(&cat.dict, warm_sql).unwrap();
         let q = parse_query(&cat.dict, sql).unwrap();
         let mut digests = Vec::new();
-        for parallel in [false, true] {
-            let c = cfg(parallel);
+        let c = cfg();
+        for _replay in 0..2 {
             let mut sellers = engines(&cat, &c);
             run_qt_direct(NodeId(0), cat.dict.clone(), &warm_q, &mut sellers, &c);
             let out = run_qt_direct(NodeId(0), cat.dict.clone(), &q, &mut sellers, &c);
@@ -107,13 +105,13 @@ fn warm_subsumption_trades_are_deterministic_and_sound() {
             let want = evaluate_query(&q, &all).unwrap();
             assert!(
                 approx_same_rows(&got, &want, 1e-9),
-                "warm plan rows diverge for {sql} (parallel={parallel})"
+                "warm plan rows diverge for {sql}"
             );
             digests.push(digest(&out));
         }
         assert_eq!(
             digests[0], digests[1],
-            "parallel fan-out changed a warm trade for {sql}"
+            "a replay changed a warm trade for {sql}"
         );
     }
 }
@@ -125,7 +123,7 @@ fn warm_subsumption_trades_are_deterministic_and_sound() {
 fn semantic_hit_plans_answer_like_cold_plans() {
     let (cat, stores) = fed();
     let all = union(&stores);
-    let c = cfg(true);
+    let c = cfg();
     let warm_q = parse_query(&cat.dict, WIDE).unwrap();
     for sql in [NARROW, AGG] {
         let q = parse_query(&cat.dict, sql).unwrap();
@@ -161,7 +159,7 @@ fn semantic_hit_plans_answer_like_cold_plans() {
 #[test]
 fn warm_trades_conform_across_transports() {
     let (cat, _) = fed();
-    let c = cfg(true);
+    let c = cfg();
     let warm_q = parse_query(&cat.dict, WIDE).unwrap();
     let q = parse_query(&cat.dict, NARROW).unwrap();
     // The direct driver is the reference leg.
@@ -232,7 +230,7 @@ fn warm_trades_conform_across_transports() {
 fn result_cache_serves_repeats_across_sessions() {
     let (cat, stores) = fed();
     let all = union(&stores);
-    let c = cfg(true);
+    let c = cfg();
     let wide = parse_query(&cat.dict, WIDE).unwrap();
     let narrow = parse_query(&cat.dict, NARROW).unwrap();
     let agg = parse_query(&cat.dict, AGG).unwrap();
@@ -304,7 +302,7 @@ fn result_cache_serves_repeats_across_sessions() {
 fn a_colliding_result_cache_entry_is_a_miss() {
     let (cat, stores) = fed();
     let all = union(&stores);
-    let c = cfg(true);
+    let c = cfg();
     let q = parse_query(&cat.dict, NARROW).unwrap();
     let other = parse_query(&cat.dict, AGG).unwrap();
     let other_plan = run_qt_direct(
@@ -354,7 +352,6 @@ fn a_colliding_result_cache_entry_is_a_miss() {
 fn adaptive_awards_invalidate_cached_results_selectively() {
     let (cat, _) = fed();
     let c = QtConfig {
-        parallel: true,
         enable_semantic_cache: true,
         seller_strategy: qt_trade::SellerStrategy::adaptive_markup(1.5),
         ..QtConfig::default()

@@ -1,17 +1,13 @@
 //! Session isolation of the serving layer.
 //!
 //! The contract under test: serving M queries *concurrently* (several
-//! sessions multiplexed over one federation, RFB batching on or off,
-//! seller fan-out serial or parallel) must produce, for every session, the
-//! *bit-identical* observables of serving the same arrival stream
-//! one-at-a-time over the same persistent sellers — same winning plan, same
-//! cost bits, same offer ids, same iteration count — because every
-//! scheduling decision is ordered by (virtual time, arrival seq, session
-//! id) and all per-session state (engines, offer-id counters, reply memos)
-//! is keyed by session.
-//!
-//! CI runs this binary under both `QT_THREADS=1` and `QT_THREADS=4`; the
-//! suite deliberately does not pin the variable itself.
+//! sessions multiplexed over one federation, RFB batching on or off) must
+//! produce, for every session, the *bit-identical* observables of serving
+//! the same arrival stream one-at-a-time over the same persistent sellers —
+//! same winning plan, same cost bits, same offer ids, same iteration count —
+//! because every scheduling decision is ordered by (virtual time, arrival
+//! seq, session id) and all per-session state (engines, offer-id counters,
+//! reply memos) is keyed by session.
 
 use proptest::prelude::*;
 use qt_catalog::NodeId;
@@ -68,10 +64,8 @@ fn serve(
     stream: &[(f64, Query)],
     concurrency: usize,
     batch: bool,
-    parallel: bool,
 ) -> ServeOutcome {
     let cfg = QtConfig {
-        parallel,
         // Deep admission queues must not trip retransmission deadlines.
         seller_timeout: 300.0,
         ..QtConfig::default()
@@ -127,14 +121,14 @@ fn concurrent_serving_matches_sequential_for_6_and_10_sellers() {
         for seed in [1u64, 7] {
             let fed = build_federation(&spec(nodes, seed));
             let stream = arrivals(&fed, 8, seed);
-            let seq = serve(&fed, &stream, 1, true, false);
+            let seq = serve(&fed, &stream, 1, true);
             assert!(
                 seq.reports.iter().all(|r| r.plan.is_some()),
                 "nodes={nodes} seed={seed}: some session found no plan"
             );
             for conc in [4usize, 8] {
                 for batch in [true, false] {
-                    let out = serve(&fed, &stream, conc, batch, false);
+                    let out = serve(&fed, &stream, conc, batch);
                     assert_sessions_identical(
                         &seq,
                         &out,
@@ -147,20 +141,11 @@ fn concurrent_serving_matches_sequential_for_6_and_10_sellers() {
 }
 
 #[test]
-fn parallel_seller_fan_out_does_not_change_served_plans() {
-    let fed = build_federation(&spec(8, 13));
-    let stream = arrivals(&fed, 8, 13);
-    let serial = serve(&fed, &stream, 4, true, false);
-    let parallel = serve(&fed, &stream, 4, true, true);
-    assert_sessions_identical(&serial, &parallel, "parallel fan-out, conc=4");
-}
-
-#[test]
 fn batching_cuts_messages_without_changing_results() {
     let fed = build_federation(&spec(10, 5));
     let stream = arrivals(&fed, 12, 5);
-    let batched = serve(&fed, &stream, 8, true, false);
-    let unbatched = serve(&fed, &stream, 8, false, false);
+    let batched = serve(&fed, &stream, 8, true);
+    let unbatched = serve(&fed, &stream, 8, false);
     assert_sessions_identical(&batched, &unbatched, "batched vs unbatched, conc=8");
     assert!(
         (batched.messages as f64) < 0.7 * unbatched.messages as f64,
@@ -189,9 +174,9 @@ proptest! {
         let nodes = [5u32, 6, 8][pick];
         let fed = build_federation(&spec(nodes, seed));
         let stream = arrivals(&fed, 6, seed);
-        let seq = serve(&fed, &stream, 1, true, false);
-        let conc = serve(&fed, &stream, 4, true, false);
-        let unbatched = serve(&fed, &stream, 4, false, false);
+        let seq = serve(&fed, &stream, 1, true);
+        let conc = serve(&fed, &stream, 4, true);
+        let unbatched = serve(&fed, &stream, 4, false);
         assert_sessions_identical(&seq, &conc, &format!("nodes={nodes} seed={seed} conc=4"));
         assert_sessions_identical(
             &seq,

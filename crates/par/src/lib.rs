@@ -1,36 +1,28 @@
-//! Deterministic fork-join helpers for the QT hot paths.
+//! Deterministic fork-join helpers for the columnar executor.
 //!
-//! The trading loop's dominant cost is per-seller offer generation: every
-//! seller runs its local (modified) DP independently per round, so the
-//! round fans out embarrassingly. This crate provides the small primitives
-//! the drivers use — order-preserving parallel maps built on
+//! The executor's filters and hash-join probes map over fixed batch
+//! boundaries, so their batches can be processed concurrently. This crate
+//! provides the worker budget and an order-preserving parallel map built on
 //! `std::thread::scope` (the build container carries no external crates, so
-//! no rayon). Results are merged in input order, which is what makes the
-//! parallel drivers bit-identical to the serial ones.
+//! no rayon). Results are merged in input order, which is what makes a
+//! parallel section bit-identical to a serial one.
+//!
+//! Trading does not fan out here: a seller answers on the calling thread.
+//! The simulator charges a round as its slowest seller, and the real
+//! transports run one thread per node, so sellers are concurrent where the
+//! system models them as autonomous machines.
 //!
 //! Thread budget resolution, in priority order:
 //! 1. the `QT_THREADS` environment variable (useful to force >1 worker in
 //!    tests on single-core CI hosts, or `1` to pin everything serial);
 //! 2. `std::thread::available_parallelism()`.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-thread_local! {
-    /// Set while this thread is a qt-par worker: nested parallel sections
-    /// collapse to serial instead of oversubscribing the machine.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Is the current thread already inside a qt-par worker?
-pub fn in_parallel_section() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
 /// Host core count, computed once. `available_parallelism` re-reads cgroup
 /// limits on every call (~10µs on some kernels), which is far too slow for a
-/// per-round budget check on the trading hot path.
+/// per-operator budget check.
 fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| {
@@ -40,14 +32,10 @@ fn host_parallelism() -> usize {
     })
 }
 
-/// The worker budget for parallel sections (≥ 1). Nested sections (a parallel
-/// map called from inside another parallel map's worker) get a budget of 1.
-/// `QT_THREADS` is re-read on every call (it is cheap, and tests set it after
-/// process start); the host core count is cached.
+/// The worker budget for parallel sections (≥ 1). `QT_THREADS` is re-read on
+/// every call (it is cheap, and tests set it after process start); the host
+/// core count is cached.
 pub fn max_threads() -> usize {
-    if in_parallel_section() {
-        return 1;
-    }
     if let Ok(v) = std::env::var("QT_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
@@ -56,48 +44,12 @@ pub fn max_threads() -> usize {
     host_parallelism()
 }
 
-/// Order-preserving parallel map over exclusive references.
-///
-/// Splits `items` into one contiguous chunk per worker and applies `f` to
-/// every element; the result vector keeps input order regardless of how
-/// the chunks interleave in time. Falls back to a plain serial map when the
-/// budget or the input is too small to win anything.
-pub fn par_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    if workers <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    // Ceil-divided contiguous chunks keep results trivially ordered.
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for piece in items.chunks_mut(chunk) {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                piece.iter_mut().map(f).collect::<Vec<R>>()
-            }));
-        }
-        for h in handles {
-            out.extend(h.join().expect("qt-par worker panicked"));
-        }
-    });
-    out
-}
-
 /// Order-preserving parallel map over shared references.
 ///
 /// Work-steals single items off an atomic cursor — better balance than
-/// chunking when per-item cost varies wildly (e.g. RFB items whose local
-/// DPs differ by orders of magnitude) — then reassembles results in input
-/// order.
+/// chunking when per-item cost varies (a probe batch that hits many build
+/// rows) — then reassembles results in input order. Falls back to a plain
+/// serial map when the budget or the input is too small to win anything.
 pub fn par_map_ref<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -117,7 +69,6 @@ where
             let cursor = &cursor;
             let f = &f;
             handles.push(scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -142,17 +93,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_mut_preserves_order_and_mutates() {
-        let mut items: Vec<u64> = (0..37).collect();
-        let out = par_map_mut(&mut items, 4, |x| {
-            *x += 1;
-            *x * 10
-        });
-        assert_eq!(items, (1..38).collect::<Vec<u64>>());
-        assert_eq!(out, (1..38).map(|x| x * 10).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn par_map_ref_matches_serial_for_any_thread_count() {
         let items: Vec<u64> = (0..101).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
@@ -163,26 +103,13 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        let mut empty: Vec<u32> = vec![];
-        assert!(par_map_mut(&mut empty, 8, |x| *x).is_empty());
+        let empty: Vec<u32> = vec![];
+        assert!(par_map_ref(&empty, 8, |x| *x).is_empty());
         assert_eq!(par_map_ref(&[42u32], 8, |x| x + 1), vec![43]);
     }
 
     #[test]
     fn max_threads_is_positive() {
         assert!(max_threads() >= 1);
-    }
-
-    #[test]
-    fn nested_sections_run_serial() {
-        let items: Vec<u32> = (0..8).collect();
-        let out = par_map_ref(&items, 4, |&x| {
-            assert!(in_parallel_section());
-            assert_eq!(max_threads(), 1);
-            // A nested parallel map still works — it just stays serial.
-            par_map_ref(&[x, x + 1], 4, |y| y * 2)
-        });
-        assert_eq!(out[3], vec![6, 8]);
-        assert!(!in_parallel_section());
     }
 }
