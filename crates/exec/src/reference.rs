@@ -2,27 +2,17 @@
 //!
 //! Every optimizer in the workspace is tested by executing its physical plan
 //! and comparing against this evaluator, which computes the answer the
-//! obvious way: bind the relations in query order by nested loops, filter,
-//! group, project. Deliberately simple — its only virtue is being obviously
-//! correct. The one concession to size is that each predicate filters as
-//! soon as all its columns are bound, so an intermediate result never holds
-//! a combination an applied predicate rejects; the survivors keep their
-//! nested-loop order.
+//! obvious way: bind the relations in query order by nested loops, applying
+//! each predicate once its columns are bound (survivors keep their order),
+//! then group and project. Deliberately simple — its only virtue is being
+//! obviously correct.
 
 use crate::error::ExecError;
 use crate::exec::RowSource;
 use crate::{Row, Table};
 use qt_catalog::{PartId, Value};
-use qt_query::{AggFunc, Col, CompOp, Operand, Predicate, Query, SelectItem};
+use qt_query::{AggFunc, Col, Operand, Predicate, Query, SelectItem};
 use std::collections::HashMap;
-
-/// The right side of a predicate whose columns are bound.
-enum Side<'q> {
-    /// A column, by its position in the bound rows.
-    Col(usize),
-    /// A constant.
-    Const(&'q Value),
-}
 
 /// Evaluate `query` against `source`. The output column order is the query's
 /// `SELECT` order; rows are sorted by `ORDER BY` if present, otherwise in an
@@ -58,71 +48,26 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
         }
         schema.extend((0..arity).map(|a| Col::new(rel, a)));
 
-        // 2. The predicates whose columns are all bound from here on.
-        let at = |c: Col| schema.iter().position(|s| *s == c);
-        let mut bound: Vec<(CompOp, usize, Side)> = Vec::new();
-        unbound.retain(|p| {
-            let right = match &p.right {
-                Operand::Const(v) => Some(Side::Const(v)),
-                Operand::Col(c) => at(*c).map(Side::Col),
-            };
-            match (at(p.left), right) {
-                (Some(l), Some(r)) => {
-                    bound.push((p.op, l, r));
-                    false
-                }
-                _ => true,
-            }
-        });
-
-        // 3. Nested loop with the accumulated rows, filtered by them.
-        let mut next: Table = Vec::new();
-        for base in &rows {
-            for ext in &extent {
-                let cell = |i: usize| base.get(i).unwrap_or_else(|| &ext[i - base.len()]);
-                let pass = bound.iter().all(|(op, l, r)| {
-                    let right = match r {
-                        Side::Col(i) => cell(*i),
-                        Side::Const(v) => v,
-                    };
-                    op.eval(cell(*l), right)
-                });
-                if pass {
-                    let mut row = base.clone();
-                    row.extend(ext.iter().cloned());
-                    next.push(row);
-                }
-            }
-        }
-        rows = next;
-    }
-
-    let pos = |c: Col| -> Result<usize, ExecError> {
-        schema
+        // 2. Nested loop with the accumulated rows, keeping the combinations
+        //    that pass every predicate whose columns are all bound now.
+        let (now, later) = unbound
+            .into_iter()
+            .partition::<Vec<_>, _>(|p| p.cols().all(|c| schema.contains(&c)));
+        unbound = later;
+        let product = rows
             .iter()
-            .position(|s| *s == c)
-            .ok_or(ExecError::UnresolvedColumn(c))
-    };
-
-    // 4. A predicate naming a column no relation binds is left to this
-    //    final pass, which reports it on the first row that reaches it.
-    let mut filtered: Table = Vec::new();
-    'rows: for row in rows {
-        for p in &unbound {
-            let l = &row[pos(p.left)?];
-            let ok = match &p.right {
-                Operand::Const(v) => p.op.eval(l, v),
-                Operand::Col(c) => p.op.eval(l, &row[pos(*c)?]),
-            };
-            if !ok {
-                continue 'rows;
-            }
-        }
-        filtered.push(row);
+            .flat_map(|base| extent.iter().map(move |ext| [&base[..], &ext[..]].concat()));
+        rows = keep(product, &now, &schema)?;
     }
+
+    // 3. A predicate naming a column no relation binds is left to this final
+    //    pass, which reports it on the first row that reaches it.
+    let mut filtered = keep(rows.into_iter(), &unbound, &schema)?;
+
+    let pos = |c: Col| col_pos(&schema, c);
 
     if !query.is_aggregate() {
-        // 5a. Sort (on full rows) then project to the select order.
+        // 4a. Sort (on full rows) then project to the select order.
         if !query.order_by.is_empty() {
             let keys: Vec<usize> = query
                 .order_by
@@ -153,7 +98,7 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
             .collect());
     }
 
-    // 5b. Group and aggregate.
+    // 4b. Group and aggregate.
     let key_pos: Vec<usize> = query
         .group_by
         .iter()
@@ -197,18 +142,44 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
     Ok(out)
 }
 
+/// The position of `c` in `schema`.
+fn col_pos(schema: &[Col], c: Col) -> Result<usize, ExecError> {
+    schema
+        .iter()
+        .position(|s| *s == c)
+        .ok_or(ExecError::UnresolvedColumn(c))
+}
+
+/// The rows (laid out as `schema`) that pass every one of `preds`, in order.
+fn keep(
+    rows: impl Iterator<Item = Row>,
+    preds: &[&Predicate],
+    schema: &[Col],
+) -> Result<Table, ExecError> {
+    let mut out: Table = Vec::new();
+    'rows: for row in rows {
+        for p in preds {
+            let l = &row[col_pos(schema, p.left)?];
+            let ok = match &p.right {
+                Operand::Const(v) => p.op.eval(l, v),
+                Operand::Col(c) => p.op.eval(l, &row[col_pos(schema, *c)?]),
+            };
+            if !ok {
+                continue 'rows;
+            }
+        }
+        out.push(row);
+    }
+    Ok(out)
+}
+
 fn eval_agg(
     func: AggFunc,
     arg: Option<Col>,
     rows: &Table,
     schema: &[Col],
 ) -> Result<Value, ExecError> {
-    let pos = |c: Col| -> Result<usize, ExecError> {
-        schema
-            .iter()
-            .position(|s| *s == c)
-            .ok_or(ExecError::UnresolvedColumn(c))
-    };
+    let pos = |c: Col| col_pos(schema, c);
     let nums = |c: Col| -> Result<Vec<f64>, ExecError> {
         let i = pos(c)?;
         rows.iter()
