@@ -26,7 +26,7 @@ use qt_catalog::{Catalog, NodeId};
 use qt_core::buyer::IterationStats;
 use qt_core::config::{PER_OFFER_SECONDS, PER_SUBPLAN_SECONDS, QUERY_MSG_BYTES};
 use qt_core::plangen::PlanGenerator;
-use qt_core::{Offer, QtConfig, QtOutcome, SellerEngine};
+use qt_core::{Offer, OfferKind, QtConfig, QtOutcome, SellerEngine};
 use qt_cost::{NetLink, NodeResources};
 use qt_optimizer::JoinEnumerator;
 use qt_query::Query;
@@ -88,8 +88,6 @@ pub fn run_baseline(
             BaselineKind::ShipAll => 1,
             _ => query.num_relations().max(1),
         },
-        enable_views: false,
-        enable_partial_agg: !matches!(kind, BaselineKind::ShipAll),
         ..config.clone()
     };
 
@@ -127,7 +125,8 @@ pub fn run_baseline(
         offers.extend(resp.offers);
     }
     if matches!(kind, BaselineKind::ShipAll) {
-        offers.retain(|o| o.query.num_relations() == 1);
+        // Raw base fragments only: no joins, no partial aggregates.
+        offers.retain(|o| o.query.num_relations() == 1 && o.kind != OfferKind::PartialAggregate);
     }
 
     // Collection is serialized at the central site: every node is polled
@@ -353,6 +352,34 @@ mod tests {
         let dpc = dp.plan.unwrap().est.additive_cost;
         let idpc = idp.plan.unwrap().est.additive_cost;
         assert!(idpc >= dpc - 1e-9);
+    }
+
+    /// ShipAll fetches raw base fragments only. A single-relation aggregate
+    /// query passes its one-relation filter, so its partial aggregates must
+    /// be kept out by kind; TradDP, which admits them, buys some.
+    #[test]
+    fn shipall_never_buys_a_partial_aggregate() {
+        let cat = catalog();
+        let q = parse_query(&cat.dict, "SELECT b, SUM(a) FROM r GROUP BY b").unwrap();
+        let kinds = |kind| {
+            let out = run_baseline(
+                kind,
+                &cat,
+                &Default::default(),
+                NodeId(0),
+                &q,
+                &QtConfig::default(),
+            );
+            let plan = out.plan.expect("plan");
+            plan.purchases
+                .iter()
+                .map(|p| p.offer.kind)
+                .collect::<Vec<_>>()
+        };
+        assert!(kinds(BaselineKind::TradDp).contains(&OfferKind::PartialAggregate));
+        let ship = kinds(BaselineKind::ShipAll);
+        assert!(!ship.is_empty());
+        assert!(!ship.contains(&OfferKind::PartialAggregate), "{ship:?}");
     }
 
     #[test]

@@ -26,11 +26,6 @@ pub struct QtConfig {
     /// Enable the buyer predicates analyser (B5/B6). Ablated in E11; with it
     /// off, QT degenerates to one-shot Contract-Net bidding.
     pub enable_buyer_analyser: bool,
-    /// Let sellers offer *partial aggregates* (pre-aggregated fragments à la
-    /// the Corfu/Myconos SUMs of the motivating example).
-    pub enable_partial_agg: bool,
-    /// Let sellers answer from materialized views (§3.5).
-    pub enable_views: bool,
     /// Let sellers subcontract missing fragments from third nodes (§3.5's
     /// deferred extension; evaluated in E10). Off by default, as in the
     /// paper.
@@ -82,8 +77,6 @@ impl Default for QtConfig {
             seller_strategy: SellerStrategy::Truthful,
             enumerator: JoinEnumerator::Exhaustive,
             enable_buyer_analyser: true,
-            enable_partial_agg: true,
-            enable_views: true,
             enable_subcontracting: false,
             seller_timeout: 30.0,
             cost_params: CostParams::reference(),

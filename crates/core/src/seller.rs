@@ -487,10 +487,7 @@ impl SellerEngine {
             } else if o.kind == OfferKind::PartialAggregate {
                 // Pre-aggregated fragment over this node's partitions, in
                 // `q`'s aggregate shape (mirrors the fresh-path guard).
-                if !self.config.enable_partial_agg
-                    || !q.is_aggregate()
-                    || !q.aggregates_decomposable()
-                {
+                if !q.is_aggregate() || !q.aggregates_decomposable() {
                     return None;
                 }
                 let mut agg = q.clone();
@@ -714,8 +711,7 @@ impl SellerEngine {
             // Partial aggregates: only meaningful when the seller sees every
             // relation of the query (its fragment is then a clean sub-cube
             // of the join, pre-aggregable per group).
-            if self.config.enable_partial_agg
-                && q.is_aggregate()
+            if q.is_aggregate()
                 && q.aggregates_decomposable()
                 && q_local.num_relations() == q.num_relations()
             {
@@ -765,13 +761,11 @@ impl SellerEngine {
         // S2.3: seller predicates analyser — materialized views can answer
         // the query (even over data this node does not hold as base
         // relations) at the cost of a view scan plus residual work.
-        if self.config.enable_views {
-            resp.offers.extend(
-                self.views
-                    .iter()
-                    .filter_map(|view| self.view_offer(q, view)),
-            );
-        }
+        resp.offers.extend(
+            self.views
+                .iter()
+                .filter_map(|view| self.view_offer(q, view)),
+        );
         resp
     }
 
@@ -1175,26 +1169,6 @@ mod tests {
         let vo = view_offers[0];
         assert_eq!(vo.query, q, "view offer promises the full query");
         assert!(vo.props.freshness < 1.0);
-    }
-
-    #[test]
-    fn views_can_be_disabled() {
-        let cat = catalog();
-        let q = motivating(&cat);
-        let finer = parse_query(
-            &cat.dict,
-            "SELECT office, custname, SUM(charge) FROM customer, invoiceline \
-             WHERE customer.custid = invoiceline.custid GROUP BY office, custname",
-        )
-        .unwrap();
-        let cfg = QtConfig {
-            enable_views: false,
-            ..QtConfig::default()
-        };
-        let mut seller = SellerEngine::new(cat.holdings_of(NodeId(1)), cfg)
-            .with_views(vec![MaterializedView::new("v", finer)]);
-        let resp = seller.respond(0, &rfb(&q));
-        assert!(resp.offers.iter().all(|o| o.kind != OfferKind::FromView));
     }
 
     #[test]
