@@ -146,20 +146,6 @@ impl RowSource for DataStore {
     }
 }
 
-/// A row source over several stores (used by tests and the reference
-/// evaluator to see the whole federation's data at once).
-pub struct UnionSource<'a>(pub Vec<&'a DataStore>);
-
-impl RowSource for UnionSource<'_> {
-    fn rows_of(&self, part: PartId) -> Option<&[Row]> {
-        self.0.iter().find_map(|s| s.rows_of(part))
-    }
-
-    fn image_of(&self, part: PartId) -> Option<&[ColBatch]> {
-        self.0.iter().find_map(|s| s.image_of(part))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,16 +259,5 @@ mod tests {
         assert_eq!(scanned(&clone, x), vec![row(1, "x")]);
         assert_eq!(scanned(&replica, x), vec![row(1, "x")]);
         assert_eq!(clone.total_rows(), 2);
-    }
-
-    #[test]
-    fn union_source_searches_all_stores() {
-        let d = dict();
-        let mut a = DataStore::new();
-        a.load_relation(&d, RelId(0), vec![vec![Value::Int(1), Value::str("x")]]);
-        let b = a.subset(&[PartId::new(RelId(0), 1)]);
-        let u = UnionSource(vec![&b, &a]);
-        assert!(u.rows_of(PartId::new(RelId(0), 0)).is_some());
-        assert!(u.rows_of(PartId::new(RelId(9), 0)).is_none());
     }
 }

@@ -19,24 +19,10 @@
 //!                          Abandoned
 //! ```
 //!
-//! This module holds only the protocol-level pieces — the id and the state
-//! machine with its legal transitions. The buyer-side controller that drives
+//! This module holds only the protocol-level piece — the state machine with
+//! its legal transitions. The buyer-side controller that drives
 //! the machine (bid book, re-awards, scoped re-trades) lives in `qt-core`,
 //! which knows about offers and plans.
-
-/// Identifies one contract — one purchased offer under lifecycle management.
-/// Ids are allocated by the buyer; the serving layer namespaces them per
-/// session (`(session + 1) << 32 | n`, mirroring its request-id encoding) so
-/// one seller can hold contracts from many concurrent sessions without
-/// collision and release a whole session's leases at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ContractId(pub u64);
-
-impl std::fmt::Display for ContractId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
 
 /// Where a contract stands in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn ids_display_compactly() {
-        assert_eq!(ContractId(7).to_string(), "c7");
+    fn states_label_compactly() {
         assert_eq!(ContractState::Leased.label(), "leased");
+        assert_eq!(Abandoned.label(), "abandoned");
     }
 }

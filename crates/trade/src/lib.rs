@@ -22,7 +22,7 @@ pub mod protocol;
 pub mod semcache;
 pub mod strategy;
 
-pub use contract::{ContractId, ContractState};
+pub use contract::ContractState;
 pub use offer::{Bid, NegotiationOutcome};
 pub use protocol::{ProtocolKind, SessionId, MAX_ENGLISH_ROUNDS};
 /// The workspace codec's trait, re-exported from [`qt_catalog::wire`].
