@@ -49,10 +49,8 @@ pub struct QtConfig {
     /// crashed or partitioned winner stops renewing.
     pub lease_interval: f64,
     /// Read by nothing: sellers answer on the calling thread whatever it
-    /// says. It once fanned seller offer generation out across OS threads
-    /// (`qt-par`), which lost to the serial path; the field stays only
-    /// because the benchmark harness's struct literals name it, and goes
-    /// with the next change to that harness.
+    /// says. The field stays only because the benchmark harness's struct
+    /// literals name it; it goes with the next change to that harness.
     pub parallel: bool,
     /// Let seller offer caches answer RFBs *semantically*: an exact-key miss
     /// falls back to the §3.5 view matcher over cached replies, so offers
