@@ -2022,6 +2022,110 @@ pub fn e25() -> Table {
     t
 }
 
+/// E26 (ROADMAP 12(a)): what the buyer analyser's later rounds buy, over a
+/// sweep of federation shapes: 4/8/16 nodes × 3/4/6 relations ×
+/// replication 1–3 × 1–3 partitions per relation × two federation seeds.
+/// Each federation trades one chain, one star and one cycle query over all
+/// its relations, at `max_partial_k` 1 and 2, with the analyser on and off.
+/// Costs print exactly (shortest round-trip form), so a column compares bit
+/// for bit.
+pub fn e26() -> Table {
+    let mut t = Table::new(
+        "E26",
+        "analyser rounds vs. one-shot bidding over 162 federation shapes; costs exact",
+        &[
+            "nodes",
+            "relations",
+            "replication",
+            "partitions",
+            "seed",
+            "shape",
+            "max k",
+            "TradDP cost",
+            "round-0 cost",
+            "final cost",
+            "off cost",
+            "rounds",
+            "messages",
+            "effort",
+            "off messages",
+            "off effort",
+        ],
+    );
+    let mut feds = Vec::new();
+    for nodes in [4u32, 8, 16] {
+        for relations in [3usize, 4, 6] {
+            for repl in 1..=3u32 {
+                for parts in 1..=3u16 {
+                    for seed in [26u64, 2600] {
+                        let seed = seed + feds.len() as u64;
+                        feds.push(spec(nodes, relations, parts, repl, seed));
+                    }
+                }
+            }
+        }
+    }
+    let cost = |o: &QtOutcome| {
+        o.plan
+            .as_ref()
+            .map_or(f64::INFINITY, |p| p.est.additive_cost)
+    };
+    for (i, s) in feds.iter().enumerate() {
+        let fed = build_federation(s);
+        let shapes = [QueryShape::Chain, QueryShape::Star, QueryShape::Cycle];
+        for (j, shape) in shapes.into_iter().enumerate() {
+            let aggregate = (i + j) % 2 == 1;
+            let q = gen_join_query(&fed.catalog.dict, shape, s.relations, aggregate, s.seed);
+            let trad = run_algo(Algo::TradDp, &fed, BUYER, &q, &QtConfig::default());
+            for k in [1usize, 2] {
+                let cfg = |analyser: bool| QtConfig {
+                    max_partial_k: k,
+                    enable_buyer_analyser: analyser,
+                    ..QtConfig::default()
+                };
+                let on = run_algo_with_cfg(&fed, &q, &cfg(true));
+                let off = run_algo_with_cfg(&fed, &q, &cfg(false));
+                let round0 = on.history.first().map_or(f64::INFINITY, |h| h.best_cost);
+                let label = format!("federation {i}, {shape:?}, k {k}");
+                for w in on.history.windows(2) {
+                    t.gate(w[1].best_cost <= w[0].best_cost, || {
+                        format!(
+                            "{label}: best cost rose from {} to {} in round {}",
+                            w[0].best_cost, w[1].best_cost, w[1].round
+                        )
+                    });
+                }
+                t.gate(cost(&on) <= cost(&off), || {
+                    format!(
+                        "{label}: analyser on ends at {}, off at {}",
+                        cost(&on),
+                        cost(&off)
+                    )
+                });
+                t.push(vec![
+                    s.nodes.to_string(),
+                    s.relations.to_string(),
+                    s.replication.to_string(),
+                    s.partitions_per_relation.to_string(),
+                    s.seed.to_string(),
+                    format!("{shape:?}").to_lowercase(),
+                    k.to_string(),
+                    cost(&trad).to_string(),
+                    round0.to_string(),
+                    cost(&on).to_string(),
+                    cost(&off).to_string(),
+                    on.iterations.to_string(),
+                    on.messages.to_string(),
+                    on.seller_effort.to_string(),
+                    off.messages.to_string(),
+                    off.seller_effort.to_string(),
+                ]);
+            }
+        }
+    }
+    t
+}
+
 /// All experiments in order.
 pub fn all() -> Vec<Experiment> {
     vec![
@@ -2050,6 +2154,7 @@ pub fn all() -> Vec<Experiment> {
         ("e23", e23),
         ("e24", e24),
         ("e25", e25),
+        ("e26", e26),
     ]
 }
 
