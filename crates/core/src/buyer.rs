@@ -1,6 +1,6 @@
 //! The buyer engine: one node optimizing one query by trading.
 
-use crate::analyser::next_queries;
+use crate::analyser::{next_queries, retain_answerable};
 use crate::config::{QtConfig, MAX_NEW_QUERIES_PER_ROUND};
 use crate::dist_plan::{estimate_from, DistributedPlan};
 use crate::offer::{Offer, RfbItem};
@@ -217,8 +217,10 @@ impl BuyerEngine {
         }
         let mut new = next_queries(&self.dict, &self.query, &gen, &self.offers, &self.asked);
         new.truncate(MAX_NEW_QUERIES_PER_ROUND);
-        // B7: stop as soon as the working set stops growing (no new
-        // queries) or, after round 0, the plan stops improving.
+        retain_answerable(&mut new, &self.offers, &self.config);
+        // B7: stop as soon as the working set stops growing (no query some
+        // seller could answer anew) or, after round 0, the plan stops
+        // improving.
         if new.is_empty() || (!improved && self.round > 0) {
             return RoundOutcome::Done;
         }

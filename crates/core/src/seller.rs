@@ -1565,11 +1565,15 @@ mod tests {
     }
 
     /// Every seller of a `trade_cold`-shaped federation (16 nodes, 6
-    /// relations × 2 partitions, 2 replicas) and the buyer's round-1 RFB for
-    /// a 5-relation aggregate chain: sub-queries that each seller rewrites to
-    /// a handful of local queries.
+    /// relations × 2 partitions, 2 replicas) and the buyer analyser's
+    /// round-1 items for a 5-relation aggregate chain, before the buyer
+    /// drops those no seller answers anew: sub-queries that each seller
+    /// rewrites to a handful of local queries.
     fn round1_market(cfg: &QtConfig) -> (Vec<SellerEngine>, Vec<RfbItem>) {
-        use crate::buyer::{BuyerEngine, RoundOutcome};
+        use crate::analyser::next_queries;
+        use crate::buyer::BuyerEngine;
+        use crate::config::MAX_NEW_QUERIES_PER_ROUND;
+        use crate::plangen::PlanGenerator;
         use qt_workload::{build_federation, gen_join_query_with_cut, FederationSpec, QueryShape};
         let fed = build_federation(&FederationSpec {
             nodes: 16,
@@ -1591,9 +1595,23 @@ mod tests {
         for s in &mut sellers() {
             buyer.receive_offers(s.respond(0, &round0).offers);
         }
-        let RoundOutcome::Continue(items) = buyer.close_round() else {
-            panic!("the buyer asks sub-queries in round 1");
-        };
+        let gen = PlanGenerator {
+            dict: &buyer.dict,
+            query: &buyer.query,
+            config: cfg,
+            buyer_resources: buyer.resources.clone(),
+        }
+        .generate(&buyer.offers);
+        let asked = BTreeSet::from([buyer.query.clone()]);
+        let mut new = next_queries(&buyer.dict, &buyer.query, &gen, &buyer.offers, &asked);
+        new.truncate(MAX_NEW_QUERIES_PER_ROUND);
+        let items = new
+            .into_iter()
+            .map(|query| RfbItem {
+                ref_value: buyer.value_book.estimate(query.fingerprint()),
+                query,
+            })
+            .collect();
         (sellers(), items)
     }
 

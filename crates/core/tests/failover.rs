@@ -241,10 +241,14 @@ fn a_dead_region_is_detoured_once_for_every_session() {
     let out = run(&fed, true, Some(faults));
     assert_eq!(out.region_fallbacks, 1, "one detour serves every session");
     // Sessions admitted after the detour ask the region's sellers from
-    // their first round on, so none of them waits out a deadline.
+    // their first round on, so none of them waits out a deadline. The
+    // detour happens no later than the first finish of a session that
+    // waited one out; sessions that finished before the crash say nothing
+    // about it.
     let detoured_at = out
         .reports
         .iter()
+        .filter(|r| r.finished - r.started >= cfg().seller_timeout)
         .map(|r| r.finished)
         .fold(f64::INFINITY, f64::min);
     let later: Vec<_> = out
