@@ -280,149 +280,149 @@ fn print_golden_table() {
 static GOLDEN: [Golden; 7] = [
     Golden {
         name: "two-level",
-        run: [0x33e, 0x41220cc000000000, 0x4013d12e4996e325, 0x0, 0x0, 0x0, 0x0, 0x0],
-        by_kind: &[("ad", 15), ("advertise", 68), ("agg-offers", 150), ("arrive", 12), ("award", 54), ("boot", 7), ("broker-lease", 42), ("broker-lease-ack", 42), ("broker-lease-tick", 42), ("broker-timeout", 150), ("flush", 22), ("negotiate", 108), ("offers", 144), ("quiesce", 24), ("rfb", 282), ("timeout", 24)],
+        run: [0x1fa, 0x40fb660000000000, 0x4012df527f00517f, 0x0, 0x0, 0x0, 0x0, 0x0],
+        by_kind: &[("ad", 15), ("advertise", 68), ("agg-offers", 75), ("arrive", 12), ("award", 54), ("boot", 7), ("broker-lease", 42), ("broker-lease-ack", 42), ("broker-lease-tick", 42), ("broker-timeout", 75), ("flush", 12), ("negotiate", 54), ("offers", 78), ("quiesce", 24), ("rfb", 153), ("timeout", 12)],
         promoted: &[],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
     Golden {
         name: "l1-crash",
-        run: [0x268, 0x41221bb000000000, 0x402096772d1e1196, 0x0, 0x0, 0x0, 0x0, 0x0],
-        by_kind: &[("ad", 15), ("advertise", 69), ("agg-offers", 150), ("arrive", 12), ("award", 54), ("boot", 7), ("broker-lease", 54), ("broker-lease-ack", 51), ("broker-lease-tick", 54), ("broker-timeout", 150), ("fault", 1), ("flush", 10), ("negotiate", 108), ("offers", 70), ("promote", 3), ("quiesce", 22), ("region-update", 1), ("rfb", 135), ("rfb-retry", 4), ("timeout", 24)],
+        run: [0x1a7, 0x40fbad8000000000, 0x401c96c58e6afedf, 0x0, 0x0, 0x0, 0x0, 0x0],
+        by_kind: &[("ad", 15), ("advertise", 69), ("agg-offers", 75), ("arrive", 12), ("award", 54), ("boot", 7), ("broker-lease", 48), ("broker-lease-ack", 45), ("broker-lease-tick", 48), ("broker-timeout", 75), ("fault", 1), ("flush", 7), ("negotiate", 54), ("offers", 48), ("promote", 3), ("quiesce", 22), ("region-update", 1), ("rfb", 93), ("rfb-retry", 4), ("timeout", 12)],
         promoted: &[(16, 23, 0x4028000000000000)],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
     Golden {
         name: "top-crash",
-        run: [0x1e9, 0x411b37a000000000, 0x401ff8548a1be4cb, 0x4, 0x0, 0x0, 0x0, 0x0],
-        by_kind: &[("ad", 15), ("advertise", 42), ("agg-offers", 96), ("arrive", 12), ("award", 54), ("boot", 4), ("broker-lease", 27), ("broker-lease-ack", 24), ("broker-lease-tick", 27), ("broker-timeout", 97), ("fault", 1), ("flush", 11), ("negotiate", 108), ("offers", 68), ("promote", 4), ("quiesce", 7), ("region-update", 1), ("rfb", 109), ("timeout", 24)],
+        run: [0x149, 0x40f5268000000000, 0x401c131a083fd715, 0x4, 0x0, 0x0, 0x0, 0x0],
+        by_kind: &[("ad", 15), ("advertise", 42), ("agg-offers", 48), ("arrive", 12), ("award", 54), ("boot", 4), ("broker-lease", 27), ("broker-lease-ack", 24), ("broker-lease-tick", 27), ("broker-timeout", 48), ("fault", 1), ("flush", 8), ("negotiate", 54), ("offers", 45), ("promote", 4), ("quiesce", 7), ("region-update", 1), ("rfb", 74), ("timeout", 12)],
         promoted: &[(16, 20, 0x4028000000000000)],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
     Golden {
         name: "double-crash",
-        run: [0x1e9, 0x411c6dc000000000, 0x40b069e3836a832e, 0x18, 0x9, 0x0, 0x1, 0x0],
-        by_kind: &[("ad", 15), ("advertise", 42), ("agg-offers", 73), ("arrive", 12), ("award", 54), ("boot", 4), ("broker-lease", 6315), ("broker-lease-ack", 6315), ("broker-lease-tick", 6315), ("broker-timeout", 74), ("fault", 2), ("flush", 19), ("negotiate", 108), ("offers", 81), ("quiesce", 7), ("rfb", 124), ("timeout", 33)],
+        run: [0x14a, 0x40f62f0000000000, 0x40b06939cf0e8a9c, 0x18, 0x9, 0x0, 0x1, 0x0],
+        by_kind: &[("ad", 15), ("advertise", 42), ("agg-offers", 37), ("arrive", 12), ("award", 54), ("boot", 4), ("broker-lease", 6315), ("broker-lease-ack", 6315), ("broker-lease-tick", 6315), ("broker-timeout", 37), ("fault", 2), ("flush", 16), ("negotiate", 54), ("offers", 51), ("quiesce", 7), ("rfb", 85), ("timeout", 21)],
         promoted: &[],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
     Golden {
         name: "shed",
-        run: [0x1d1, 0x411b3de000000000, 0x4092c4a417870543, 0x0, 0x0, 0x0, 0x0, 0xb],
-        by_kind: &[("ad", 15), ("advertise", 27), ("agg-offers", 10), ("arrive", 12), ("award", 54), ("broker-timeout", 14), ("flush", 9), ("negotiate", 108), ("offers", 106), ("rfb", 118), ("shed", 42), ("shed-retry", 11), ("timeout", 35)],
+        run: [0x12d, 0x40f7d78000000000, 0x4092c20d83c6c97d, 0x0, 0x0, 0x0, 0x0, 0xb],
+        by_kind: &[("ad", 15), ("advertise", 27), ("agg-offers", 6), ("arrive", 12), ("award", 54), ("broker-timeout", 10), ("flush", 5), ("negotiate", 54), ("offers", 55), ("rfb", 63), ("shed", 42), ("shed-retry", 11), ("timeout", 23)],
         promoted: &[],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
     Golden {
         name: "loss-tiered",
-        run: [0x2cd, 0x4120bbf000000000, 0x4099ccf796aab94d, 0x3, 0x2, 0x0, 0x0, 0x0],
-        by_kind: &[("ad", 15), ("advertise", 37), ("agg-offers", 134), ("arrive", 12), ("award", 49), ("broker-timeout", 158), ("flush", 25), ("negotiate", 86), ("offers", 130), ("rfb", 254), ("rfb-retry", 27), ("timeout", 26)],
+        run: [0x195, 0x40f8ff8000000000, 0x409e7ce98b9fc34e, 0x4, 0x4, 0x0, 0x0, 0x0],
+        by_kind: &[("ad", 15), ("advertise", 37), ("agg-offers", 67), ("arrive", 12), ("award", 51), ("broker-timeout", 79), ("flush", 16), ("negotiate", 41), ("offers", 66), ("rfb", 131), ("rfb-retry", 12), ("timeout", 16)],
         promoted: &[],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
     Golden {
         name: "loss-flat",
-        run: [0x35a, 0x411b6a0000000000, 0x409c2628d52bfe5d, 0x2f, 0x14, 0x0, 0x0, 0x0],
-        by_kind: &[("arrive", 12), ("award", 52), ("flush", 40), ("negotiate", 99), ("offers", 344), ("rfb", 363), ("timeout", 44)],
+        run: [0x1be, 0x40f3d80000000000, 0x408c2b1b88121850, 0x16, 0xb, 0x0, 0x0, 0x0],
+        by_kind: &[("arrive", 12), ("award", 52), ("flush", 22), ("negotiate", 51), ("offers", 167), ("rfb", 176), ("timeout", 23)],
         promoted: &[],
         unreachable: &[],
         sessions: &[
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x2],
-            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x2],
-            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x2],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0x743d14df9a3a2252, 0x4018475309529c88, 0x4246900000001, 0x1],
+            [0xd9038de7e18c28c6, 0x4018a26cda35afca, 0x69425e300100001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x2356603c7b161623, 0x4012782e33ead858, 0x4246900000001, 0x1],
+            [0x86afebfab724fe72, 0x402166b24fef0e4a, 0x1e34a06900100001, 0x1],
         ],
     },
 ];
