@@ -5,12 +5,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qt_bench::runners::seller_engines;
 use qt_catalog::NodeId;
-use qt_core::buyer::RoundOutcome;
+use qt_core::analyser::next_queries;
+use qt_core::config::MAX_NEW_QUERIES_PER_ROUND;
 use qt_core::plangen::PlanGenerator;
-use qt_core::{run_qt_direct, session_req, BuyerEngine, Offer, QtConfig, RfbItem, SessionRfb};
+use qt_core::{run_qt_direct, session_req, Offer, QtConfig, RfbItem, SessionRfb};
 use qt_cost::NodeResources;
 use qt_trade::{Bid, ProtocolKind, SessionId};
 use qt_workload::{build_federation, gen_join_query, FederationSpec, QueryShape};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn bench_full_trading_run(c: &mut Criterion) {
@@ -59,9 +61,9 @@ fn bench_protocols(c: &mut Criterion) {
 /// offer cache, reply memo, broker tier, buyer pool — takes one), a warm
 /// seller's whole reply (16 sellers answering one session's RFB from their
 /// offer caches), and one plan generation over the pool those replies form.
-/// Before them, what making the offers costs: a cold seller answering the
-/// buyer's round-1 RFB, whose sub-queries it rewrites to a few local
-/// queries.
+/// Before them, what making the offers costs: a cold seller answering every
+/// round-1 sub-query the buyer analyser derives, which it rewrites to a few
+/// local queries.
 fn bench_offer_path(c: &mut Criterion) {
     let fed = build_federation(&FederationSpec {
         nodes: 16,
@@ -86,13 +88,33 @@ fn bench_offer_path(c: &mut Criterion) {
         .values_mut()
         .flat_map(|s| s.respond(0, &items).offers)
         .collect();
-    // The buyer's round-1 RFB, answered by the seller with the most to say;
-    // its offer cache is cleared before every reply, so every item misses.
-    let mut buyer = BuyerEngine::new(NodeId(0), fed.catalog.dict.clone(), q.clone(), cfg.clone());
-    buyer.receive_offers(pool.clone());
-    let RoundOutcome::Continue(round1) = buyer.close_round() else {
-        panic!("the buyer asks sub-queries in round 1");
-    };
+    // Every round-1 sub-query the buyer analyser derives (before the buyer
+    // drops those no seller answers anew), answered by the seller with the
+    // most to say; its offer cache is cleared before every reply, so every
+    // item misses.
+    let gen = PlanGenerator {
+        dict: &fed.catalog.dict,
+        query: &q,
+        config: &cfg,
+        buyer_resources: NodeResources::reference(),
+    }
+    .generate(&pool);
+    let mut derived = next_queries(
+        &fed.catalog.dict,
+        &q,
+        &gen,
+        &pool,
+        &BTreeSet::from([q.clone()]),
+    );
+    derived.truncate(MAX_NEW_QUERIES_PER_ROUND);
+    let round1: Vec<RfbItem> = derived
+        .into_iter()
+        .map(|query| RfbItem {
+            query,
+            ref_value: f64::INFINITY,
+        })
+        .collect();
+    assert!(!round1.is_empty(), "the analyser derives sub-queries");
     let mut cold = seller_engines(&fed, &cfg)
         .into_values()
         .map(|mut s| (s.respond(1, &round1).offers.len(), s))

@@ -89,7 +89,7 @@ impl Default for QtConfig {
 
 /// Cap on new queries the buyer predicates analyser may add to the working
 /// set per iteration (keeps RFBs bounded on fragmented data).
-pub(crate) const MAX_NEW_QUERIES_PER_ROUND: usize = 16;
+pub const MAX_NEW_QUERIES_PER_ROUND: usize = 16;
 
 /// RFB retransmissions of a networked run: when the response deadline fires
 /// with sellers still unheard-from, the buyer re-sends the RFB to just those
