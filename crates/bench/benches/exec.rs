@@ -2,9 +2,12 @@
 //! answer path spends its time: scanning a partition's resident column
 //! image, handing a seller fragment's batches to the buyer assembly, the
 //! `Int`-keyed join table (built on the large side, probed by the large
-//! side, and over keys too spread to index directly), and grouping by a
-//! string and by an integer key. All on `tpch_federation` at 40 000 orders
-//! (160 k lineitems), the `answer_tpch` workload's scale.
+//! side, and over keys too spread to index directly), grouping by a string
+//! and by an integer key, and the kernels `answer_tpch`'s plans do not reach
+//! — sort, merge join, a non-equi nested-loop join, and a join and an
+//! aggregate spilled under a 64 KiB budget (E22's spill arm). All on
+//! `tpch_federation` at 40 000 orders (160 k lineitems), the `answer_tpch`
+//! workload's scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qt_catalog::{PartId, RelId};
@@ -12,7 +15,7 @@ use qt_exec::{
     execute_columnar_batches, AggSpec, ColBatch, Column, ColumnarConfig, DataStore, PhysPlan,
     RowSource,
 };
-use qt_query::{AggFunc, Col, CompOp, Predicate};
+use qt_query::{AggFunc, Col, CompOp, Operand, Predicate};
 use qt_workload::tpch::{tpch_federation, TpchSpec};
 use std::sync::Arc;
 
@@ -33,9 +36,25 @@ fn hash_join(left: PhysPlan, right: PhysPlan, l: Col, r: Col) -> PhysPlan {
 }
 
 fn run(plan: &PhysPlan, source: &dyn RowSource, inputs: &[Vec<ColBatch>]) -> Vec<ColBatch> {
-    execute_columnar_batches(plan, source, inputs, &ColumnarConfig::default())
+    run_with(plan, source, inputs, &ColumnarConfig::default())
+}
+
+fn run_with(
+    plan: &PhysPlan,
+    source: &dyn RowSource,
+    inputs: &[Vec<ColBatch>],
+    cfg: &ColumnarConfig,
+) -> Vec<ColBatch> {
+    execute_columnar_batches(plan, source, inputs, cfg)
         .expect("plan executes")
         .0
+}
+
+fn sort(input: PhysPlan, key: Col) -> PhysPlan {
+    PhysPlan::Sort {
+        input: Box::new(input),
+        keys: vec![key],
+    }
 }
 
 fn bench_exec(c: &mut Criterion) {
@@ -198,6 +217,93 @@ fn bench_exec(c: &mut Criterion) {
     let delivered = [quarter];
     c.bench_function("hash_agg/int_key_32k", |b| {
         b.iter(|| std::hint::black_box(run(&per_order, &empty, &delivered)));
+    });
+
+    // The same aggregate over a 64 KiB budget: its ~1 MB input is written
+    // to spill partitions, read back and folded one partition at a time.
+    let spill = ColumnarConfig {
+        mem_budget_bytes: 64 * 1024,
+        ..ColumnarConfig::default()
+    };
+    c.bench_function("hash_agg/spill_64k", |b| {
+        b.iter(|| std::hint::black_box(run_with(&per_order, &empty, &delivered, &spill)));
+    });
+
+    // BIG_ORDER_LINES' ~7 900 orders joined to that quarter of the
+    // lineitems, both sides spilled under the 64 KiB budget.
+    let big_orders = run(
+        &PhysPlan::Filter {
+            input: Box::new(PhysPlan::Union {
+                inputs: vec![scan(rels.orders, 0, 3), scan(rels.orders, 1, 3)],
+            }),
+            predicates: vec![Predicate::with_const(
+                col(rels.orders, 2),
+                CompOp::Gt,
+                4000.0,
+            )],
+        },
+        &all,
+        &[],
+    );
+    let orders_input = |slot: usize| PhysPlan::Input {
+        slot,
+        schema: (0..3).map(|a| col(rels.orders, a)).collect(),
+    };
+    let spilled_lines = hash_join(
+        orders_input(0),
+        input(1),
+        col(rels.orders, 0),
+        col(rels.lineitem, 0),
+    );
+    let both = [big_orders, delivered[0].clone()];
+    c.bench_function("hash_join/spill_64k", |b| {
+        b.iter(|| std::hint::black_box(run_with(&spilled_lines, &empty, &both, &spill)));
+    });
+
+    // Half the lineitems (80 k rows) sorted on suppkey.
+    let by_supplier = sort(half.clone(), col(rels.lineitem, 1));
+    c.bench_function("sort/lineitem_80k", |b| {
+        b.iter(|| std::hint::black_box(run(&by_supplier, &all, &[])));
+    });
+
+    // Every order merge-joined to those 80 k lineitems, both delivered
+    // sorted on orderkey.
+    let sorted = [
+        run(
+            &sort(
+                PhysPlan::Union {
+                    inputs: vec![scan(rels.orders, 0, 3), scan(rels.orders, 1, 3)],
+                },
+                col(rels.orders, 0),
+            ),
+            &all,
+            &[],
+        ),
+        run(&sort(half.clone(), col(rels.lineitem, 0)), &all, &[]),
+    ];
+    let merged = PhysPlan::MergeJoin {
+        left: Box::new(orders_input(0)),
+        right: Box::new(input(1)),
+        left_keys: vec![col(rels.orders, 0)],
+        right_keys: vec![col(rels.lineitem, 0)],
+    };
+    c.bench_function("merge_join/lineitem_80k", |b| {
+        b.iter(|| std::hint::black_box(run(&merged, &empty, &sorted)));
+    });
+
+    // Every customer paired with every nation of a lower key: 36 k pairs,
+    // one non-equi predicate, so the pair loop runs.
+    let lower_nations = PhysPlan::NlJoin {
+        left: Box::new(scan(rels.customer, 0, 3)),
+        right: Box::new(scan(rels.nation, 0, 3)),
+        predicates: vec![Predicate {
+            left: col(rels.customer, 1),
+            op: CompOp::Gt,
+            right: Operand::Col(col(rels.nation, 0)),
+        }],
+    };
+    c.bench_function("nl_join/non_equi_36k", |b| {
+        b.iter(|| std::hint::black_box(run(&lower_nations, &all, &[])));
     });
 }
 
