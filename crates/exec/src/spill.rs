@@ -2,16 +2,21 @@
 //!
 //! Hash joins and hash aggregates whose state exceeds the configured memory
 //! budget partition their inputs to disk and process one partition at a
-//! time (grace hashing). Records go through the workspace's one codec,
-//! [`qt_catalog::wire`], the same one protocol messages use.
+//! time (grace hashing). Records are rows in the workspace's one codec,
+//! [`qt_catalog::wire`], the same one protocol messages use; a partition is
+//! read back into column batches and runs through the operator's in-memory
+//! kernel.
 //!
-//! Every spilled row carries a `u64` sequence number so operators can
-//! restore the exact row order the row executor would have produced, keeping
-//! spilled and in-memory executions bit-identical.
+//! Every spilled row carries a `u64` sequence number, read back as one more
+//! `Int` column, so operators can restore the exact row order the row
+//! executor would have produced, keeping spilled and in-memory executions
+//! bit-identical.
 
+use crate::columnar::{rows_to_batches, ColBatch};
 use crate::error::ExecError;
 use crate::Row;
 use qt_catalog::wire::{Reader, Wire};
+use qt_catalog::Value;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -107,13 +112,32 @@ pub(crate) struct SpillFile {
 
 impl SpillFile {
     /// Read the whole partition back, in write order.
-    pub(crate) fn read_all(&self) -> Result<Vec<(u64, Row)>, ExecError> {
+    fn read_all(&self) -> Result<Vec<(u64, Row)>, ExecError> {
         let mut buf = Vec::with_capacity(self.bytes as usize);
         File::open(&self.path)
             .map_err(io_err)?
             .read_to_end(&mut buf)
             .map_err(io_err)?;
         decode_records(&buf)
+    }
+
+    /// Read the whole partition back, in write order, as batches of at most
+    /// `batch_rows`: each record's values, then its sequence number as one
+    /// more `Int` column.
+    pub(crate) fn read_batches(&self, batch_rows: usize) -> Result<Vec<ColBatch>, ExecError> {
+        let rows: Vec<Row> = self
+            .read_all()?
+            .into_iter()
+            .map(|(seq, mut row)| {
+                row.push(Value::Int(seq as i64));
+                row
+            })
+            .collect();
+        Ok(rows_to_batches(
+            &rows,
+            rows.first().map_or(0, Vec::len),
+            batch_rows,
+        ))
     }
 }
 
@@ -126,7 +150,6 @@ impl Drop for SpillFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qt_catalog::Value;
 
     #[test]
     fn roundtrip_preserves_rows_and_seqs() {
