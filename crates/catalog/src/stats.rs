@@ -8,6 +8,7 @@
 //! partitions it holds.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 
 /// An equi-depth histogram over a numeric column: `bounds` has `buckets+1`
 /// entries; bucket `i` covers `[bounds[i], bounds[i+1])` (the last bucket is
@@ -202,8 +203,8 @@ impl ColumnStats {
         }
     }
 
-    /// Compute exact stats from a column of values.
-    pub fn from_values<'a>(values: impl Iterator<Item = &'a Value>) -> ColumnStats {
+    /// Compute exact stats from a column of values, borrowed or owned.
+    pub fn from_values<V: Borrow<Value>>(values: impl IntoIterator<Item = V>) -> ColumnStats {
         let mut distinct = std::collections::BTreeSet::new();
         let mut min: Option<Value> = None;
         let mut max: Option<Value> = None;
@@ -211,6 +212,7 @@ impl ColumnStats {
         let mut n = 0u64;
         let mut numeric: Vec<f64> = Vec::new();
         for v in values {
+            let v = v.borrow();
             if let Some(f) = v.as_f64() {
                 numeric.push(f);
             }

@@ -1,27 +1,12 @@
 //! The materializing executor.
 
-use crate::columnar::ColBatch;
+use crate::datastore::DataStore;
 use crate::error::ExecError;
 use crate::plan::PhysPlan;
 use crate::{Row, Table};
-use qt_catalog::{PartId, Value};
+use qt_catalog::Value;
 use qt_query::{AggFunc, Col, Operand, Predicate};
 use std::collections::HashMap;
-
-/// Where scans read their rows from. Implemented by [`crate::DataStore`]
-/// (one node's partitions) and by anything test code cooks up.
-pub trait RowSource {
-    /// The rows of `part`, or `None` when this source does not hold it.
-    fn rows_of(&self, part: PartId) -> Option<&[Row]>;
-
-    /// The same rows as resident column batches, when the source keeps such
-    /// an image ([`crate::DataStore`] does). The columnar `Scan` shares
-    /// these batches; a source that answers `None` is transposed from
-    /// [`RowSource::rows_of`] on every scan.
-    fn image_of(&self, _part: PartId) -> Option<&[ColBatch]> {
-        None
-    }
-}
 
 /// Resolve `col` to its position in `schema`.
 fn position(schema: &[Col], col: Col) -> Result<usize, ExecError> {
@@ -172,17 +157,13 @@ impl AggState {
     }
 }
 
-/// Execute `plan` against `source`, with `inputs` supplying pre-materialized
+/// Execute `plan` against `store`, with `inputs` supplying pre-materialized
 /// tables for [`PhysPlan::Input`] slots. Returns the materialized result.
-pub fn execute(
-    plan: &PhysPlan,
-    source: &dyn RowSource,
-    inputs: &[Table],
-) -> Result<Table, ExecError> {
+/// A `Scan` reads its partition transposed from the store's batches.
+pub fn execute(plan: &PhysPlan, store: &DataStore, inputs: &[Table]) -> Result<Table, ExecError> {
     match plan {
-        PhysPlan::Scan { part, .. } => source
+        PhysPlan::Scan { part, .. } => store
             .rows_of(*part)
-            .map(|r| r.to_vec())
             .ok_or(ExecError::MissingPartition(*part)),
         PhysPlan::Input { slot, .. } => inputs
             .get(*slot)
@@ -190,7 +171,7 @@ pub fn execute(
             .ok_or(ExecError::MissingInput(*slot)),
         PhysPlan::Filter { input, predicates } => {
             let schema = input.schema();
-            let rows = execute(input, source, inputs)?;
+            let rows = execute(input, store, inputs)?;
             let mut out = Vec::new();
             for row in rows {
                 if eval_predicates(predicates, &schema, &row)? {
@@ -205,7 +186,7 @@ pub fn execute(
                 .iter()
                 .map(|c| position(&schema, *c))
                 .collect::<Result<_, _>>()?;
-            let rows = execute(input, source, inputs)?;
+            let rows = execute(input, store, inputs)?;
             Ok(rows
                 .into_iter()
                 .map(|row| positions.iter().map(|&i| row[i].clone()).collect())
@@ -227,8 +208,8 @@ pub fn execute(
                 .iter()
                 .map(|c| position(&rschema, *c))
                 .collect::<Result<_, _>>()?;
-            let lrows = execute(left, source, inputs)?;
-            let rrows = execute(right, source, inputs)?;
+            let lrows = execute(left, store, inputs)?;
+            let rrows = execute(right, store, inputs)?;
             let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
             for row in &lrows {
                 let key: Vec<Value> = lpos.iter().map(|&i| row[i].clone()).collect();
@@ -263,8 +244,8 @@ pub fn execute(
                 .iter()
                 .map(|c| position(&rschema, *c))
                 .collect::<Result<_, _>>()?;
-            let lrows = execute(left, source, inputs)?;
-            let rrows = execute(right, source, inputs)?;
+            let lrows = execute(left, store, inputs)?;
+            let rrows = execute(right, store, inputs)?;
             let key_of = |row: &Row, pos: &[usize]| -> Vec<Value> {
                 pos.iter().map(|&i| row[i].clone()).collect()
             };
@@ -304,8 +285,8 @@ pub fn execute(
             predicates,
         } => {
             let schema = plan.schema();
-            let lrows = execute(left, source, inputs)?;
-            let rrows = execute(right, source, inputs)?;
+            let lrows = execute(left, store, inputs)?;
+            let rrows = execute(right, store, inputs)?;
             let mut out = Vec::new();
             for lrow in &lrows {
                 for rrow in &rrows {
@@ -321,7 +302,7 @@ pub fn execute(
         PhysPlan::Union { inputs: plans } => {
             let mut out = Vec::new();
             for p in plans {
-                out.extend(execute(p, source, inputs)?);
+                out.extend(execute(p, store, inputs)?);
             }
             Ok(out)
         }
@@ -331,7 +312,7 @@ pub fn execute(
                 .iter()
                 .map(|c| position(&schema, *c))
                 .collect::<Result<_, _>>()?;
-            let mut rows = execute(input, source, inputs)?;
+            let mut rows = execute(input, store, inputs)?;
             rows.sort_by(|a, b| {
                 for &i in &positions {
                     let ord = a[i].cmp(&b[i]);
@@ -357,7 +338,7 @@ pub fn execute(
                 .iter()
                 .map(|a| a.arg.map(|c| position(&schema, c)).transpose())
                 .collect::<Result<_, _>>()?;
-            let rows = execute(input, source, inputs)?;
+            let rows = execute(input, store, inputs)?;
             // Group in first-seen order for deterministic output.
             let mut order: Vec<Vec<Value>> = Vec::new();
             let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
@@ -397,17 +378,9 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::plan::AggSpec;
+    use qt_catalog::PartId;
     use qt_catalog::RelId;
     use qt_query::CompOp;
-    use std::collections::BTreeMap;
-
-    struct Mem(BTreeMap<PartId, Table>);
-
-    impl RowSource for Mem {
-        fn rows_of(&self, part: PartId) -> Option<&[Row]> {
-            self.0.get(&part).map(|t| t.as_slice())
-        }
-    }
 
     fn r() -> RelId {
         RelId(0)
@@ -416,9 +389,9 @@ mod tests {
         RelId(1)
     }
 
-    fn store() -> Mem {
+    fn store() -> DataStore {
         // r(a, b): 4 rows; s(a, c): 3 rows.
-        let mut m = BTreeMap::new();
+        let mut m = DataStore::new();
         m.insert(
             PartId::new(r(), 0),
             vec![
@@ -436,7 +409,7 @@ mod tests {
                 vec![Value::Int(9), Value::str("z")],
             ],
         );
-        Mem(m)
+        m
     }
 
     fn scan_r() -> PhysPlan {

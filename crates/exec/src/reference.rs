@@ -7,17 +7,18 @@
 //! then group and project. Deliberately simple — its only virtue is being
 //! obviously correct.
 
+use crate::datastore::DataStore;
 use crate::error::ExecError;
-use crate::exec::RowSource;
 use crate::{Row, Table};
 use qt_catalog::{PartId, Value};
 use qt_query::{AggFunc, Col, Operand, Predicate, Query, SelectItem};
 use std::collections::HashMap;
 
-/// Evaluate `query` against `source`. The output column order is the query's
-/// `SELECT` order; rows are sorted by `ORDER BY` if present, otherwise in an
-/// unspecified (but deterministic) order.
-pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, ExecError> {
+/// Evaluate `query` against `store`, reading its partitions as rows. The
+/// output column order is the query's `SELECT` order; rows are sorted by
+/// `ORDER BY` if present, otherwise in an unspecified (but deterministic)
+/// order.
+pub fn evaluate_query(query: &Query, store: &DataStore) -> Result<Table, ExecError> {
     let mut schema: Vec<Col> = Vec::new();
     let mut rows: Table = vec![vec![]];
     let mut unbound: Vec<&Predicate> = query.predicates.iter().collect();
@@ -27,17 +28,17 @@ pub fn evaluate_query(query: &Query, source: &dyn RowSource) -> Result<Table, Ex
         let mut arity = 0;
         for idx in parts.iter() {
             let part = PartId::new(rel, idx);
-            let part_rows = source
+            let part_rows = store
                 .rows_of(part)
                 .ok_or(ExecError::MissingPartition(part))?;
             if let Some(r0) = part_rows.first() {
                 arity = r0.len();
             }
-            extent.extend(part_rows.iter().cloned());
+            extent.extend(part_rows);
         }
         if arity == 0 {
-            // All partitions empty: infer arity from any sibling partition
-            // or fall back to the columns the query references.
+            // All requested partitions empty: bind columns up to the
+            // highest one the query names of this relation (one if none).
             arity = query
                 .all_cols()
                 .into_iter()

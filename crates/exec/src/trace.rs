@@ -1,8 +1,9 @@
 //! Instrumented execution: run a plan and record per-operator row counts —
 //! the data behind `EXPLAIN ANALYZE`-style output.
 
+use crate::datastore::DataStore;
 use crate::error::ExecError;
-use crate::exec::{execute, RowSource};
+use crate::exec::execute;
 use crate::plan::PhysPlan;
 use crate::Table;
 
@@ -44,12 +45,12 @@ pub struct OpTrace {
 /// [`execute`] untouched.
 pub fn execute_traced(
     plan: &PhysPlan,
-    source: &dyn RowSource,
+    store: &DataStore,
     inputs: &[Table],
 ) -> Result<(Table, Vec<OpTrace>), ExecError> {
     let mut traces = Vec::new();
-    collect(plan, source, inputs, 0, &mut traces)?;
-    let result = execute(plan, source, inputs)?;
+    collect(plan, store, inputs, 0, &mut traces)?;
+    let result = execute(plan, store, inputs)?;
     Ok((result, traces))
 }
 
@@ -78,12 +79,12 @@ fn label(plan: &PhysPlan) -> String {
 
 fn collect(
     plan: &PhysPlan,
-    source: &dyn RowSource,
+    store: &DataStore,
     inputs: &[Table],
     depth: usize,
     out: &mut Vec<OpTrace>,
 ) -> Result<(), ExecError> {
-    let rows = execute(plan, source, inputs)?.len();
+    let rows = execute(plan, store, inputs)?.len();
     out.push(OpTrace {
         depth,
         label: label(plan),
@@ -95,17 +96,17 @@ fn collect(
         | PhysPlan::Project { input, .. }
         | PhysPlan::Sort { input, .. }
         | PhysPlan::HashAggregate { input, .. } => {
-            collect(input, source, inputs, depth + 1, out)?;
+            collect(input, store, inputs, depth + 1, out)?;
         }
         PhysPlan::HashJoin { left, right, .. }
         | PhysPlan::MergeJoin { left, right, .. }
         | PhysPlan::NlJoin { left, right, .. } => {
-            collect(left, source, inputs, depth + 1, out)?;
-            collect(right, source, inputs, depth + 1, out)?;
+            collect(left, store, inputs, depth + 1, out)?;
+            collect(right, store, inputs, depth + 1, out)?;
         }
         PhysPlan::Union { inputs: plans } => {
             for p in plans {
-                collect(p, source, inputs, depth + 1, out)?;
+                collect(p, store, inputs, depth + 1, out)?;
             }
         }
     }
@@ -131,25 +132,14 @@ pub fn render(traces: &[OpTrace]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::RowSource;
-    use crate::Row;
     use qt_catalog::{PartId, RelId, Value};
     use qt_query::{Col, CompOp, Predicate};
-    use std::collections::BTreeMap;
 
-    struct Mem(BTreeMap<PartId, Table>);
-
-    impl RowSource for Mem {
-        fn rows_of(&self, part: PartId) -> Option<&[Row]> {
-            self.0.get(&part).map(|t| t.as_slice())
-        }
-    }
-
-    fn store() -> Mem {
+    fn store() -> DataStore {
         let rows: Table = (0..10)
             .map(|i| vec![Value::Int(i), Value::Int(i * 10)])
             .collect();
-        Mem([(PartId::new(RelId(0), 0), rows)].into_iter().collect())
+        [(PartId::new(RelId(0), 0), rows)].into_iter().collect()
     }
 
     #[test]

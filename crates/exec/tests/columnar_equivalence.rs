@@ -6,11 +6,9 @@
 //! widely spread ones, so joins and group-bys run both their direct-indexed
 //! and their hashed key ids. Every plan runs across batch sizes
 //! {1, 7, 1024}, spill budgets {tiny (everything spills), unlimited}, and
-//! `QT_THREADS` ∈ {1, 4}, whether scans transpose rows per query (a
-//! hand-written source), share a `DataStore`'s resident column image (cold,
-//! then warm), or the leaves arrive as column batches through the batch
-//! entry point, and every configuration records the same operators with the
-//! same row counts.
+//! `QT_THREADS` ∈ {1, 4}, whether scans share a `DataStore`'s batches or
+//! the leaves arrive as column batches through the batch entry point, and
+//! every configuration records the same operators with the same row counts.
 //!
 //! CI additionally runs this whole binary under `QT_THREADS=1` and
 //! `QT_THREADS=4`; the env-sweeping test below rotates the variable itself
@@ -20,23 +18,14 @@ use proptest::prelude::*;
 use qt_catalog::{PartId, RelId, Value};
 use qt_exec::{
     batches_to_rows, execute, execute_columnar_batches, execute_columnar_with_stats,
-    rows_to_batches, AggSpec, ColumnarConfig, DataStore, PhysPlan, Row, RowSource, Table,
+    rows_to_batches, AggSpec, ColumnarConfig, DataStore, PhysPlan, Table,
 };
 use qt_query::{AggFunc, Col, CompOp, Operand, Predicate};
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Guards `QT_THREADS` mutation: tests in this binary run on parallel
 /// threads and `qt_par` reads the variable on every call.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-struct Mem(BTreeMap<PartId, Table>);
-
-impl RowSource for Mem {
-    fn rows_of(&self, part: PartId) -> Option<&[Row]> {
-        self.0.get(&part).map(|t| t.as_slice())
-    }
-}
 
 /// A cell value drawn from all four `Value` variants, with narrow domains so
 /// joins and group-bys collide often.
@@ -100,8 +89,8 @@ fn input(rel: u32) -> PhysPlan {
     }
 }
 
-fn store(l: Table, r: Table) -> Mem {
-    Mem([(part(0), l), (part(1), r)].into_iter().collect())
+fn store(l: Table, r: Table) -> DataStore {
+    [(part(0), l), (part(1), r)].into_iter().collect()
 }
 
 /// A small random plan: filter → join → optional aggregate / sort. The
@@ -269,15 +258,6 @@ proptest! {
             match &first_timings {
                 None => first_timings = Some(timings),
                 Some(first) => prop_assert_eq!(first, &timings, "batch_rows={} budget={}", cfg.batch_rows, cfg.mem_budget_bytes),
-            }
-            // A fresh store per configuration: the first run builds the
-            // partitions' column images, the second shares them.
-            let mut resident = DataStore::new();
-            resident.insert(part(0), l.clone());
-            resident.insert(part(1), r.clone());
-            for image in ["cold", "warm"] {
-                let (got, _) = execute_columnar_with_stats(&plan, &resident, &[], &cfg).unwrap();
-                prop_assert_eq!(&got, &oracle, "{} image, batch_rows={} budget={}", image, cfg.batch_rows, cfg.mem_budget_bytes);
             }
             let (got, _) = execute_columnar_batches(&over_inputs, &src, &delivered, &cfg).unwrap();
             prop_assert_eq!(&batches_to_rows(&got), &oracle, "batch inputs, batch_rows={} budget={}", cfg.batch_rows, cfg.mem_budget_bytes);

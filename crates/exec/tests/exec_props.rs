@@ -4,17 +4,9 @@
 use proptest::prelude::*;
 use qt_catalog::{PartId, RelId, Value};
 use qt_exec::reference::same_rows;
-use qt_exec::{execute, AggSpec, PhysPlan, Row, RowSource, Table};
+use qt_exec::{execute, AggSpec, DataStore, PhysPlan, Table};
 use qt_query::{AggFunc, Col, CompOp, Operand, Predicate};
 use std::collections::BTreeMap;
-
-struct Mem(BTreeMap<PartId, Table>);
-
-impl RowSource for Mem {
-    fn rows_of(&self, part: PartId) -> Option<&[Row]> {
-        self.0.get(&part).map(|t| t.as_slice())
-    }
-}
 
 fn table(rel: u32, rows: &[(i64, i64)]) -> (PartId, Table) {
     (
@@ -40,7 +32,7 @@ proptest! {
     /// Hash join and nested-loop join compute the same equi-join.
     #[test]
     fn hash_join_equals_nl_join(l in rows_strategy(), r in rows_strategy()) {
-        let store = Mem([table(0, &l), table(1, &r)].into_iter().collect());
+        let store: DataStore = [table(0, &l), table(1, &r)].into_iter().collect();
         let hj = PhysPlan::HashJoin {
             left: Box::new(scan(0)),
             right: Box::new(scan(1)),
@@ -64,16 +56,15 @@ proptest! {
     fn filter_commutes_with_union(l in rows_strategy(), r in rows_strategy(), cut in -20i64..20) {
         // Two partitions of the same relation so the union inputs share a
         // schema.
-        let mut m = BTreeMap::new();
-        m.insert(
+        let mut store = DataStore::new();
+        store.insert(
             PartId::new(RelId(0), 0),
             l.iter().map(|(a, b)| vec![Value::Int(*a), Value::Int(*b)]).collect::<Table>(),
         );
-        m.insert(
+        store.insert(
             PartId::new(RelId(0), 1),
             r.iter().map(|(a, b)| vec![Value::Int(*a), Value::Int(*b)]).collect::<Table>(),
         );
-        let store = Mem(m);
         let s0 = PhysPlan::Scan { part: PartId::new(RelId(0), 0), arity: 2 };
         let s1 = PhysPlan::Scan { part: PartId::new(RelId(0), 1), arity: 2 };
         let pred = Predicate::with_const(Col::new(RelId(0), 1), CompOp::Lt, cut);
@@ -95,7 +86,7 @@ proptest! {
     /// Sort is a permutation and is ordered on the key.
     #[test]
     fn sort_is_an_ordered_permutation(rows in rows_strategy()) {
-        let store = Mem([table(0, &rows)].into_iter().collect());
+        let store: DataStore = [table(0, &rows)].into_iter().collect();
         let sorted = PhysPlan::Sort {
             input: Box::new(scan(0)),
             keys: vec![Col::new(RelId(0), 1)],
@@ -111,7 +102,7 @@ proptest! {
     /// SUM/COUNT grouped aggregation agrees with a hand fold.
     #[test]
     fn aggregate_matches_hand_fold(rows in rows_strategy()) {
-        let store = Mem([table(0, &rows)].into_iter().collect());
+        let store: DataStore = [table(0, &rows)].into_iter().collect();
         let agg = PhysPlan::HashAggregate {
             input: Box::new(scan(0)),
             group_by: vec![Col::new(RelId(0), 0)],
@@ -148,7 +139,7 @@ proptest! {
     fn theta_join_equals_filtered_cross(l in rows_strategy(), r in rows_strategy(), op_i in 0usize..6) {
         let ops = [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge];
         let op = ops[op_i];
-        let store = Mem([table(0, &l), table(1, &r)].into_iter().collect());
+        let store: DataStore = [table(0, &l), table(1, &r)].into_iter().collect();
         let pred = Predicate {
             left: Col::new(RelId(0), 1),
             op,
@@ -177,7 +168,7 @@ proptest! {
     /// Merge join over sorted inputs equals hash join.
     #[test]
     fn merge_join_equals_hash_join(l in rows_strategy(), r in rows_strategy()) {
-        let store = Mem([table(0, &l), table(1, &r)].into_iter().collect());
+        let store: DataStore = [table(0, &l), table(1, &r)].into_iter().collect();
         let sorted = |rel: u32| PhysPlan::Sort {
             input: Box::new(scan(rel)),
             keys: vec![Col::new(RelId(rel), 0)],

@@ -188,30 +188,19 @@ fn sink(plan: &PhysPlan, mut preds: Vec<Predicate>) -> PhysPlan {
 mod tests {
     use super::*;
     use qt_catalog::{PartId, RelId, Value};
-    use qt_exec::{execute, RowSource};
+    use qt_exec::{execute, DataStore};
     use qt_query::CompOp;
-    use std::collections::BTreeMap;
 
-    struct Mem(BTreeMap<PartId, Vec<Vec<Value>>>);
-
-    impl RowSource for Mem {
-        fn rows_of(&self, part: PartId) -> Option<&[Vec<Value>]> {
-            self.0.get(&part).map(|t| t.as_slice())
-        }
-    }
-
-    fn store() -> Mem {
+    fn store() -> DataStore {
         let r: Vec<Vec<Value>> = (0..30)
             .map(|i| vec![Value::Int(i % 5), Value::Int(i)])
             .collect();
         let s: Vec<Vec<Value>> = (0..20)
             .map(|i| vec![Value::Int(i % 7), Value::Int(i * 2)])
             .collect();
-        Mem(
-            [(PartId::new(RelId(0), 0), r), (PartId::new(RelId(1), 0), s)]
-                .into_iter()
-                .collect(),
-        )
+        [(PartId::new(RelId(0), 0), r), (PartId::new(RelId(1), 0), s)]
+            .into_iter()
+            .collect()
     }
 
     fn scan(rel: u32) -> PhysPlan {
