@@ -2,11 +2,12 @@
 //! row executor (the correctness oracle) — same rows, same order — on random
 //! plans over random data. A plan puts a hash, merge or nested-loop join
 //! (an equality plus a residual, or one non-equi predicate) under nothing, a
-//! sort, or a grouped or scalar aggregate; keys are narrow integers or
-//! widely spread ones, so joins and group-bys run both their direct-indexed
-//! and their hashed key ids. Every plan runs across batch sizes
-//! {1, 7, 1024}, spill budgets {tiny (everything spills), unlimited}, and
-//! `QT_THREADS` ∈ {1, 4}, whether scans share a `DataStore`'s batches or
+//! sort, a grouped or scalar aggregate, or operators that read a strict
+//! subset of the join's columns (so the join drops the rest); keys are
+//! narrow integers or widely spread ones, so joins and group-bys run both
+//! their direct-indexed and their hashed key ids. Every plan runs across
+//! batch sizes {1, 7, 1024}, spill budgets {tiny (everything spills),
+//! unlimited}, and `QT_THREADS` ∈ {1, 4}, whether scans share a `DataStore`'s batches or
 //! the leaves arrive as column batches through the batch entry point, and
 //! every configuration records the same operators with the same row counts.
 //!
@@ -98,7 +99,11 @@ fn store(l: Table, r: Table) -> DataStore {
 /// input slots. `join` picks a hash join, a nested-loop join with an
 /// equality and a residual, a merge join over inputs sorted on its keys, or
 /// a nested-loop join on one non-equi predicate (the pair loop); `top` adds
-/// nothing, a sort, a grouped aggregate or a scalar one.
+/// nothing, a sort, a grouped aggregate or a scalar one — or one of the
+/// shapes whose operators above the join read a strict subset of its
+/// columns: a one-column projection, an aggregate reading one key, a scalar
+/// `COUNT(*)` reading none, a filter on a column nothing above outputs, and
+/// a sort on a key that a projection above it drops.
 #[derive(Debug, Clone)]
 struct Shape {
     filter: Option<i64>,
@@ -107,7 +112,7 @@ struct Shape {
 }
 
 fn shape_strategy() -> impl Strategy<Value = Shape> {
-    (any::<bool>(), -3i64..3, 0u8..4, 0u8..4).prop_map(|(keep, c, join, top)| Shape {
+    (any::<bool>(), -3i64..3, 0u8..4, 0u8..9).prop_map(|(keep, c, join, top)| Shape {
         filter: keep.then_some(c),
         join,
         top,
@@ -190,7 +195,7 @@ impl Shape {
                     },
                 ],
             },
-            _ => PhysPlan::HashAggregate {
+            3 => PhysPlan::HashAggregate {
                 input: Box::new(j),
                 group_by: vec![],
                 aggs: vec![
@@ -207,6 +212,44 @@ impl Shape {
                         arg: Some(Col::new(RelId(1), 1)),
                     },
                 ],
+            },
+            4 => PhysPlan::Project {
+                input: Box::new(j),
+                cols: vec![Col::new(RelId(1), 1)],
+            },
+            5 => PhysPlan::HashAggregate {
+                input: Box::new(j),
+                group_by: vec![key(0)],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Count,
+                    arg: None,
+                }],
+            },
+            6 => PhysPlan::HashAggregate {
+                input: Box::new(j),
+                group_by: vec![],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Count,
+                    arg: None,
+                }],
+            },
+            7 => PhysPlan::Project {
+                input: Box::new(PhysPlan::Filter {
+                    input: Box::new(j),
+                    predicates: vec![Predicate::with_const(
+                        Col::new(RelId(1), 2),
+                        CompOp::Ge,
+                        0i64,
+                    )],
+                }),
+                cols: vec![key(0)],
+            },
+            _ => PhysPlan::Project {
+                input: Box::new(PhysPlan::Sort {
+                    input: Box::new(j),
+                    keys: vec![Col::new(RelId(1), 2), Col::new(RelId(0), 1)],
+                }),
+                cols: vec![Col::new(RelId(0), 2)],
             },
         }
     }
@@ -227,7 +270,7 @@ fn configs() -> Vec<ColumnarConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Columnar output is bit-identical (rows and order) to the row executor
     /// for every batch size × spill budget combination.
