@@ -5,13 +5,16 @@
 //! obvious way: bind the relations in query order by nested loops, applying
 //! each predicate once its columns are bound (survivors keep their order),
 //! then group and project. Deliberately simple — its only virtue is being
-//! obviously correct.
+//! obviously correct. The one concession to scale: a relation linked by an
+//! equality to a column bound before it finds each row's partners in a hash
+//! index over its extent instead of the whole extent, which keeps exactly
+//! the rows, in exactly the order, that the nested loop keeps.
 
 use crate::datastore::DataStore;
 use crate::error::ExecError;
 use crate::{Row, Table};
 use qt_catalog::{PartId, Value};
-use qt_query::{AggFunc, Col, Operand, Predicate, Query, SelectItem};
+use qt_query::{AggFunc, Col, CompOp, Operand, Predicate, Query, SelectItem};
 use std::collections::HashMap;
 
 /// Evaluate `query` against `store`, reading its partitions as rows. The
@@ -47,17 +50,37 @@ pub fn evaluate_query(query: &Query, store: &DataStore) -> Result<Table, ExecErr
                 .max()
                 .unwrap_or(1);
         }
+        let bound = schema.len();
         schema.extend((0..arity).map(|a| Col::new(rel, a)));
 
         // 2. Nested loop with the accumulated rows, keeping the combinations
-        //    that pass every predicate whose columns are all bound now.
+        //    that pass every predicate whose columns are all bound now. With
+        //    an equality between a column bound before and one of this
+        //    relation, a base row meets only the extent rows whose value
+        //    equals its own (`Value` equality is the predicate's), still in
+        //    extent order.
         let (now, later) = unbound
             .into_iter()
             .partition::<Vec<_>, _>(|p| p.cols().all(|c| schema.contains(&c)));
         unbound = later;
-        let product = rows
-            .iter()
-            .flat_map(|base| extent.iter().map(move |ext| [&base[..], &ext[..]].concat()));
+        let every: Vec<usize> = (0..extent.len()).collect();
+        let link = equi_link(&now, &schema, bound);
+        let mut index: HashMap<&Value, Vec<usize>> = HashMap::new();
+        if let Some((_, at)) = link {
+            for (i, ext) in extent.iter().enumerate() {
+                index.entry(&ext[at]).or_default().push(i);
+            }
+        }
+        let (extent, index, every) = (&extent, &index, &every);
+        let product = rows.iter().flat_map(|base| {
+            let partners = match link {
+                Some((from, _)) => index.get(&base[from]).map_or(&[][..], Vec::as_slice),
+                None => every,
+            };
+            partners
+                .iter()
+                .map(move |&i| [&base[..], &extent[i][..]].concat())
+        });
         rows = keep(product, &now, &schema)?;
     }
 
@@ -141,6 +164,26 @@ pub fn evaluate_query(query: &Query, store: &DataStore) -> Result<Table, ExecErr
         out.push(row);
     }
     Ok(out)
+}
+
+/// The first equality in `preds` between a column bound before position
+/// `bound` of `schema` and one of the relation bound from there on: its
+/// position in the bound rows and in that relation's rows.
+fn equi_link(preds: &[&Predicate], schema: &[Col], bound: usize) -> Option<(usize, usize)> {
+    preds.iter().find_map(|p| {
+        let Operand::Col(right) = p.right else {
+            return None;
+        };
+        if p.op != CompOp::Eq {
+            return None;
+        }
+        let (l, r) = (col_pos(schema, p.left).ok()?, col_pos(schema, right).ok()?);
+        match (l < bound, r < bound) {
+            (true, false) => Some((l, r - bound)),
+            (false, true) => Some((r, l - bound)),
+            _ => None,
+        }
+    })
 }
 
 /// The position of `c` in `schema`.

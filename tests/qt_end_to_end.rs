@@ -1,14 +1,17 @@
 //! Workspace-level end-to-end property test: on random materialized
 //! federations and random chain queries, the full QT trading loop produces
 //! plans whose execution matches the brute-force reference answer, and the
-//! simulator driver agrees with the direct driver.
+//! simulator driver agrees with the direct driver. The TPC-H queries of the
+//! `answer_tpch` benchmark workload are checked the same way at its scale.
 
 use proptest::prelude::*;
 use qt_bench::runners::seller_engines;
 use qt_catalog::NodeId;
-use qt_core::{run_qt_direct, run_qt_serve, QtConfig, ServeConfig};
-use qt_exec::evaluate_query;
+use qt_core::{run_qt_direct, run_qt_serve, QtConfig, SellerEngine, ServeConfig};
 use qt_exec::reference::approx_same_rows;
+use qt_exec::{evaluate_query, ColumnarConfig, DataStore};
+use qt_query::parse_query;
+use qt_workload::tpch::{queries, tpch_federation, TpchSpec};
 use qt_workload::{build_federation, gen_join_query_with_cut, FederationSpec, QueryShape};
 
 proptest! {
@@ -99,5 +102,48 @@ proptest! {
             (None, None) => {}
             other => prop_assert!(false, "plan presence mismatch: {:?}", other.0.is_some()),
         }
+    }
+}
+
+/// `answer_tpch`'s three queries, traded by cold sellers and executed at the
+/// workload's scale — 8 nodes, 40 000 orders (160 k lineitems), federation
+/// seed 5 — return the brute-force oracle's rows.
+#[test]
+fn tpch_answers_match_the_oracle_at_benchmark_scale() {
+    let (catalog, stores, _) = tpch_federation(&TpchSpec {
+        nodes: 8,
+        orders: 40_000,
+        seed: 5,
+        ..TpchSpec::default()
+    });
+    let mut union = DataStore::new();
+    for s in stores.values() {
+        union.merge_from(s);
+    }
+    let cfg = QtConfig {
+        parallel: false,
+        seller_timeout: 300.0,
+        ..QtConfig::default()
+    };
+    for sql in [
+        queries::REVENUE_PER_NATION,
+        queries::BIG_ORDER_LINES,
+        queries::LINES_PER_SUPPLIER_NATION,
+    ] {
+        let q = parse_query(&catalog.dict, sql).expect("canned SQL parses");
+        let mut sellers = catalog
+            .nodes
+            .iter()
+            .map(|&n| (n, SellerEngine::new(catalog.holdings_of(n), cfg.clone())))
+            .collect();
+        let plan = run_qt_direct(NodeId(0), catalog.dict.clone(), &q, &mut sellers, &cfg)
+            .plan
+            .expect("the federation holds every partition");
+        let (got, _) = plan
+            .execute_columnar_on(&catalog.dict, &stores, &ColumnarConfig::default())
+            .expect("the traded plan executes");
+        let want = evaluate_query(&q, &union).expect("the oracle evaluates");
+        assert!(!want.is_empty(), "{sql}");
+        assert!(approx_same_rows(&got, &want, 1e-9), "{sql}");
     }
 }
