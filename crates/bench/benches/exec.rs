@@ -5,7 +5,8 @@
 //! handing a seller fragment's batches to the buyer assembly, the
 //! `Int`-keyed join table (built on the large side, probed by the large
 //! side, and over keys too spread to index directly), grouping by a string
-//! and by an integer key, and the kernels `answer_tpch`'s plans do not reach
+//! and by an integer key, two of `answer_tpch`'s buyer assemblies whole
+//! (join, join, aggregate), and the kernels `answer_tpch`'s plans do not reach
 //! — sort, merge join, a non-equi nested-loop join, and a join and an
 //! aggregate spilled under a 64 KiB budget (E22's spill arm). All on
 //! `tpch_federation` at 40 000 orders (160 k lineitems), the `answer_tpch`
@@ -215,6 +216,76 @@ fn bench_exec(c: &mut Criterion) {
     let delivered = [named];
     c.bench_function("hash_agg/str_key_160k", |b| {
         b.iter(|| std::hint::black_box(run(&by_name, &empty, &delivered)));
+    });
+
+    // Two buyer assemblies as trading builds them. Seller fragments deliver
+    // a fact relation's two partitions (slots 0 and 1), nation's (nationkey,
+    // nname) (slot 2) and a dimension's (key, nationkey) (slot 3), each cut
+    // to the columns the query names. The fact rows build the top join,
+    // nation ⋈ dimension probes it, and the aggregate groups by nname, the
+    // one column of the join's output it reads besides its argument.
+    let fragment = |rel: RelId, part: u16, arity: usize, cols: &[usize]| {
+        let project = PhysPlan::Project {
+            input: Box::new(scan(rel, part, arity)),
+            cols: cols.iter().map(|&a| col(rel, a)).collect(),
+        };
+        run(&project, &all, &[])
+    };
+    let slot = |slot: usize, rel: RelId, cols: &[usize]| PhysPlan::Input {
+        slot,
+        schema: cols.iter().map(|&a| col(rel, a)).collect(),
+    };
+    let assembly = |(fact, arity, cols): (RelId, usize, &[usize]), dim: RelId, agg: AggSpec| {
+        let plan = PhysPlan::HashAggregate {
+            input: Box::new(hash_join(
+                PhysPlan::Union {
+                    inputs: vec![slot(0, fact, cols), slot(1, fact, cols)],
+                },
+                hash_join(
+                    slot(2, rels.nation, &[0, 2]),
+                    slot(3, dim, &[0, 1]),
+                    col(rels.nation, 0),
+                    col(dim, 1),
+                ),
+                col(fact, cols[0]),
+                col(dim, 0),
+            )),
+            group_by: vec![nname],
+            aggs: vec![agg],
+        };
+        let delivered = vec![
+            fragment(fact, 0, arity, cols),
+            fragment(fact, 1, arity, cols),
+            fragment(rels.nation, 0, 3, &[0, 2]),
+            fragment(dim, 0, 3, &[0, 1]),
+        ];
+        (plan, delivered)
+    };
+    // LINES_PER_SUPPLIER_NATION: 160 k lineitem suppkeys ⋈ (nation ⋈
+    // supplier), COUNT(*) by nname.
+    let (lines, delivered) = assembly(
+        (rels.lineitem, 4, &[1]),
+        rels.supplier,
+        AggSpec {
+            func: AggFunc::Count,
+            arg: None,
+        },
+    );
+    c.bench_function("assembly/lines_per_supplier_nation", |b| {
+        b.iter(|| std::hint::black_box(run(&lines, &empty, &delivered)));
+    });
+    // REVENUE_PER_NATION: 40 k orders' (custkey, ototal) ⋈ (nation ⋈
+    // customer), SUM(ototal) by nname.
+    let (revenue, delivered) = assembly(
+        (rels.orders, 3, &[1, 2]),
+        rels.customer,
+        AggSpec {
+            func: AggFunc::Sum,
+            arg: Some(col(rels.orders, 2)),
+        },
+    );
+    c.bench_function("assembly/revenue_per_nation", |b| {
+        b.iter(|| std::hint::black_box(run(&revenue, &empty, &delivered)));
     });
 
     // BIG_ORDER_LINES' shape: a quarter of the lineitems (~32 k rows, ~8 k
